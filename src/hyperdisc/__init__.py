@@ -23,11 +23,7 @@ from .exceptions import (
 from .model import (
     ModelSpec,
     ValueSolution,
-    ccp_from_values,
-    choice_long_run_values,
     choice_values,
-    logsumexp,
-    perceived_value_step,
     solve_backward,
 )
 from .identification import (
@@ -35,7 +31,6 @@ from .identification import (
     PairSystem,
     assemble_system,
     assemble_system_macro,
-    build_ccp_blocks,
     build_pair_system,
     check_model,
     identify_from_estimates,

@@ -28,7 +28,7 @@ from scipy import optimize, special
 
 from .exceptions import InvalidInputError, NonConvergenceError
 from .model import _backward_core
-from .simulation import PanelData, TransitionEstimate, _check_panel_ranges
+from .simulation import PanelData, TransitionEstimate, empirical_ccps
 
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
@@ -134,24 +134,19 @@ def inverse_transform_params(theta_u, beta: float, delta: float):
     return np.concatenate([theta, [special.logit(beta), special.logit(delta)]])
 
 
-def action_state_counts(panel: PanelData, num_actions: int,
-                        num_states: int) -> np.ndarray:
-    """Observation counts per (period, action, state), the likelihood's
-    sufficient statistic for the choice block."""
-    _check_panel_ranges(panel, num_states, num_actions)
-    T = panel.horizon
-    counts = np.zeros((T, num_actions, num_states), dtype=np.int64)
-    t_idx = np.broadcast_to(np.arange(T), panel.states.shape)
-    np.add.at(counts, (t_idx.ravel(), panel.actions.ravel(), panel.states.ravel()), 1)
-    return counts
-
-
 def _resolve_transitions(transitions) -> np.ndarray:
     f = transitions.f_hat if isinstance(transitions, TransitionEstimate) else transitions
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or f.shape[1] != f.shape[2]:
         raise InvalidInputError("transitions must have shape (K, J, J)")
     return f
+
+
+def _choice_loglik(counts, utility, transitions, beta, delta):
+    """The choice block ``sum_n sum_t log P_t(a_nt | x_nt)`` from the
+    (T, K, J) observation counts, its sufficient statistic."""
+    _, _, logp = _backward_core(utility, transitions, beta, delta, counts.shape[0])
+    return float((counts * logp).sum())
 
 
 def log_likelihood(panel: PanelData, utility_spec: UtilitySpec, theta_u,
@@ -168,11 +163,9 @@ def log_likelihood(panel: PanelData, utility_spec: UtilitySpec, theta_u,
     if not (0.0 < delta < 1.0):
         raise InvalidInputError(f"delta must lie in (0, 1), got {delta}")
     f = _resolve_transitions(transitions)
-    counts = action_state_counts(panel, utility_spec.num_actions,
-                                 utility_spec.num_states)
-    u = utility_spec.build_utility(theta_u)
-    _, _, logp = _backward_core(u, f, beta, delta, panel.horizon)
-    return float((counts * logp).sum())
+    counts = empirical_ccps(panel, utility_spec.num_states,
+                            utility_spec.num_actions).counts
+    return _choice_loglik(counts, utility_spec.build_utility(theta_u), f, beta, delta)
 
 
 @dataclass(frozen=True)
@@ -266,8 +259,7 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     """
     f = _resolve_transitions(transitions)
     K, J = utility_spec.num_actions, utility_spec.num_states
-    counts = action_state_counts(panel, K, J)
-    T = panel.horizon
+    counts = empirical_ccps(panel, J, K).counts
     n_theta = utility_spec.n_params
     fixed_beta = config.fixed_parameters.get("beta")
     fixed_delta = config.fixed_parameters.get("delta")
@@ -288,9 +280,7 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
 
     def negloglik(raw):
         theta, beta, delta = split(raw)
-        u = utility_spec.build_utility(theta)
-        _, _, logp = _backward_core(u, f, beta, delta, T)
-        return -float((counts * logp).sum())
+        return -_choice_loglik(counts, utility_spec.build_utility(theta), f, beta, delta)
 
     def pack(theta, beta, delta):
         parts = [np.asarray(theta, dtype=float)]

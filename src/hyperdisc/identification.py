@@ -109,19 +109,15 @@ class PairSystem:
     ``F_tilde_K``
         rows ``F_K(x) - F_K(J)`` of the reference action for
         ``x = 1 .. J-1``, shape (J-1, J-1),
-    ``F_stack``
-        the per-action blocks ``F_i(x)`` for ``x = 1 .. J-1`` stacked
-        vertically over actions, shape ((J-1)K, J-1),
-    ``F_J_stack``
-        the reference-state rows ``F_i(J)`` repeated ``J-1`` times per
-        action and stacked the same way.
+    ``F``
+        the rows ``F_i(x)`` of every action and state, shape
+        (K, J, J-1).
     """
 
     pairs: tuple
     F_tilde: np.ndarray
     F_tilde_K: np.ndarray
-    F_stack: np.ndarray
-    F_J_stack: np.ndarray
+    F: np.ndarray
     num_states: int
     num_actions: int
     rank_tol: float
@@ -201,13 +197,9 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
             f"need at least J-1 = {J - 1} pairs, got {len(norm_pairs)}"
         )
 
-    front = f[:, :, : J - 1]  # F_i(x) rows, dropping the last next-state column
-    F_tilde = np.array([front[k, x1] - front[l, x2] for (k, l, x1, x2) in norm_pairs])
-    F_tilde_K = front[K - 1, : J - 1] - front[K - 1, J - 1]
-    F_stack = front[:, : J - 1].reshape(K * (J - 1), J - 1).copy()
-    F_J_stack = np.repeat(front[:, J - 1][:, None, :], J - 1, axis=1).reshape(
-        K * (J - 1), J - 1
-    )
+    F = f[:, :, : J - 1].copy()  # F_i(x) rows, dropping the last next-state column
+    F_tilde = np.array([F[k, x1] - F[l, x2] for (k, l, x1, x2) in norm_pairs])
+    F_tilde_K = F[K - 1, : J - 1] - F[K - 1, J - 1]
 
     rank, sv = numerical_rank(F_tilde, rank_tol)
     if rank < J - 1:
@@ -221,8 +213,7 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
         pairs=tuple(norm_pairs),
         F_tilde=F_tilde,
         F_tilde_K=F_tilde_K,
-        F_stack=F_stack,
-        F_J_stack=F_J_stack,
+        F=F,
         num_states=J,
         num_actions=K,
         rank_tol=float(rank_tol),
@@ -230,100 +221,60 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
     )
 
 
-def _validate_ccps(ccps):
+def _assemble(ccps, pair_system, min_periods, assumption=None):
+    """The plain system ``(A, B)`` from every period's CCPs at once.
+
+    Column ``t`` (periods 3 through T) is
+
+        [ F_tilde_K F_tilde^{-1} (D_t - D_{t-1}) ;
+          G_t F_tilde^{-1} D_t - G_{t-1} F_tilde^{-1} D_{t-1} ;
+          F_tilde^{-1} (D_{t-1} - D_{t-2}) ]
+
+    with ``G_t = P_t F - P_tJ F_J``, whose row ``x`` is
+    ``sum_i P_{t,i}(x) F_i(x) - sum_i P_{t,i}(J) F_i(J)``, and the
+    matching column of ``B`` is the first difference of the
+    state-differenced reference-action log CCPs.  Fewer than
+    ``min_periods`` periods raise, citing ``assumption``.
+    """
     arr = np.asarray(ccps, dtype=float)
-    if arr.ndim != 3:
-        raise InvalidInputError("ccps must have shape (T, K, J)")
+    K, J = pair_system.num_actions, pair_system.num_states
+    if arr.ndim != 3 or arr.shape[1:] != (K, J):
+        raise InvalidInputError(f"ccps must have shape (T, {K}, {J}), got {arr.shape}")
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidInputError(
             "ccps must be finite and strictly positive (logs are taken); "
             "smooth empirical zero cells first"
         )
-    return arr
-
-
-def build_ccp_blocks(ccps, t, pair_system):
-    """Diagonal CCP blocks and the pair log-ratio vector for period ``t``.
-
-    Returns ``(P_t, P_tJ, D_t)`` where ``P_t`` horizontally concatenates
-    the K diagonal blocks ``diag(P_{t,i}(1..J-1))``, ``P_tJ`` does the
-    same with the reference-state probability ``P_{t,i}(J)`` on every
-    diagonal, and ``D_t`` stacks ``log(P_{t,k}(x1) / P_{t,l}(x2))`` over
-    the pairs in order.
-    """
-    arr = _validate_ccps(ccps)
-    J = pair_system.num_states
-    K = pair_system.num_actions
-    if arr.shape[1] != K or arr.shape[2] != J:
-        raise InvalidInputError(
-            f"ccps must have shape (T, {K}, {J}), got {arr.shape}"
+    T, n1 = arr.shape[0], J - 1
+    if T < min_periods:
+        raise InsufficientDataError(
+            f"assembling the system needs at least {min_periods} periods, got {T}",
+            assumption=assumption,
         )
-    c = arr[t]
-    n1 = J - 1
-    P_t = np.hstack([np.diag(c[i, :n1]) for i in range(K)])
-    P_tJ = np.hstack([c[i, n1] * np.eye(n1) for i in range(K)])
-    logc = np.log(c)
-    D_t = np.array([logc[k, x1] - logc[l, x2] for (k, l, x1, x2) in pair_system.pairs])
-    return P_t, P_tJ, D_t
-
-
-def _system_ingredients(ccps, pair_system):
-    """Per-period pieces shared by the plain and macro assemblers."""
-    arr = _validate_ccps(ccps)
-    J = pair_system.num_states
-    n1 = J - 1
-    T = arr.shape[0]
-    D = []
-    G = []          # (P_t F - P_tJ F_J), shape (J-1, J-1) per period
-    solved_D = []   # F_tilde^{-1} D_t per period
-    logpk = []      # log P_{t,K}(x) - log P_{t,K}(J), x = 1..J-1
-    for t in range(T):
-        P_t, P_tJ, D_t = build_ccp_blocks(arr, t, pair_system)
-        D.append(D_t)
-        G.append(P_t @ pair_system.F_stack - P_tJ @ pair_system.F_J_stack)
-        solved_D.append(pair_system.solve(D_t))
-        ref = np.log(arr[t, -1])
-        logpk.append(ref[:n1] - ref[n1])
-    return T, n1, D, G, solved_D, logpk
-
-
-def _column_pieces(pair_system, t, D, G, solved_D, logpk):
-    """The three stacked blocks and the target for the period-``t`` column."""
-    top = pair_system.F_tilde_K @ pair_system.solve(D[t] - D[t - 1])
-    mid = G[t] @ solved_D[t] - G[t - 1] @ solved_D[t - 1]
-    bottom = pair_system.solve(D[t - 1] - D[t - 2])
-    target = logpk[t] - logpk[t - 1]
-    return top, mid, bottom, target
+    logc = np.log(arr)
+    k, l, x1, x2 = np.array(pair_system.pairs).T
+    D = logc[:, k, x1] - logc[:, l, x2]                  # (T, n_pairs)
+    solved_D = pair_system.solve(D.T)                     # (J-1, T)
+    solved_dD = pair_system.solve(np.diff(D, axis=0).T)   # (J-1, T-1)
+    E = np.einsum("tix,ixy->txy", arr, pair_system.F)     # sum_i P_{t,i}(x) F_i(x)
+    G = E[:, :n1] - E[:, n1:]                             # (T, J-1, J-1)
+    GD = np.einsum("txy,yt->xt", G, solved_D)
+    logpk = logc[:, -1, :n1] - logc[:, -1, n1:]
+    A = np.vstack([
+        pair_system.F_tilde_K @ solved_dD[:, 1:],
+        np.diff(GD, axis=1)[:, 1:],
+        solved_dD[:, :-1],
+    ])
+    return A, np.diff(logpk, axis=0)[1:].T
 
 
 def assemble_system(ccps, pair_system):
-    """Stack the identification system ``(A, B)`` from CCPs.
+    """Stack the identification system ``(A, B)`` from (T, K, J) CCPs.
 
-    Column ``t`` (periods 3 through T) is
-
-        [ F_tilde_K F_tilde^{-1} (D_t - D_{t-1}) ;
-          Phi_t ;
-          F_tilde^{-1} (D_{t-1} - D_{t-2}) ]
-
-    with ``Phi_t = (P_t F - P_tJ F_J) F_tilde^{-1} D_t
-    - (P_{t-1} F - P_{t-1,J} F_J) F_tilde^{-1} D_{t-1}``, and the
-    matching column of ``B`` is the first difference of the
-    state-differenced reference-action log CCPs.  Shapes are
-    (3(J-1), T-2) and (J-1, T-2).
+    One column per period from the third on (see ``_assemble``); shapes
+    are (3(J-1), T-2) and (J-1, T-2).  Needs T >= 4 (condition 5(a)).
     """
-    T, n1, D, G, solved_D, logpk = _system_ingredients(ccps, pair_system)
-    if T < 4:
-        raise InsufficientDataError(
-            f"assembling the system needs at least 4 periods, got {T}",
-            assumption="5(a)",
-        )
-    A = np.empty((3 * n1, T - 2))
-    B = np.empty((n1, T - 2))
-    for col, t in enumerate(range(2, T)):
-        top, mid, bottom, target = _column_pieces(pair_system, t, D, G, solved_D, logpk)
-        A[:, col] = np.concatenate([top, mid, bottom])
-        B[:, col] = target
-    return A, B
+    return _assemble(ccps, pair_system, 4, "5(a)")
 
 
 def assemble_system_macro(ccps, pair_system, macro_transitions):
@@ -333,12 +284,13 @@ def assemble_system_macro(ccps, pair_system, macro_transitions):
     of an auxiliary state that evolves independently of the action and,
     by condition 6, leaves choice probabilities unchanged.  Each period
     then contributes M columns instead of one: the first two blocks and
-    the target are broadcast across auxiliary states and postmultiplied
-    by the transition matrix (transposed into column-stochastic form, so
-    each product column conditions on a current auxiliary state), while
-    the bottom block enters without it.  Shapes are
-    (3(J-1), (T-2)M) and (J-1, (T-2)M); with M = 1 the output equals
-    ``assemble_system`` exactly.
+    the target are averaged over the next auxiliary state, the bottom
+    block enters as is.  Because the CCPs do not move with the auxiliary
+    state, every one of those averages is the plain column itself, so
+    ``A_tilde`` is ``A`` with each column repeated M times (and
+    ``B_tilde`` likewise).  The macro route therefore adds no
+    information; its only effect is to pass the count gate 8(a).
+    Shapes are (3(J-1), (T-2)M) and (J-1, (T-2)M); T = 3 suffices here.
     """
     H = np.asarray(macro_transitions, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -350,25 +302,9 @@ def assemble_system_macro(ccps, pair_system, macro_transitions):
         raise InvalidInputError(
             f"macro_transitions rows must sum to 1 within 1e-12; worst {row_err:.3e}"
         )
+    A, B = _assemble(ccps, pair_system, 3)
     M = H.shape[0]
-    Hp = H.T  # column w gives the distribution of the next auxiliary state given w
-
-    T, n1, D, G, solved_D, logpk = _system_ingredients(ccps, pair_system)
-    if T < 3:
-        raise InsufficientDataError(
-            f"assembling the macro system needs at least 3 periods, got {T}"
-        )
-    ones = np.ones(M)
-    A = np.empty((3 * n1, (T - 2) * M))
-    B = np.empty((n1, (T - 2) * M))
-    for col, t in enumerate(range(2, T)):
-        top, mid, bottom, target = _column_pieces(pair_system, t, D, G, solved_D, logpk)
-        sl = slice(col * M, (col + 1) * M)
-        A[:n1, sl] = np.outer(top, ones) @ Hp
-        A[n1 : 2 * n1, sl] = np.outer(mid, ones) @ Hp
-        A[2 * n1 :, sl] = np.outer(bottom, ones)
-        B[:, sl] = np.outer(target, ones) @ Hp
-    return A, B
+    return np.repeat(A, M, axis=1), np.repeat(B, M, axis=1)
 
 
 def _solve_discounts_impl(A, B, rank_tol, mode, labels):
@@ -612,6 +548,33 @@ def smooth_empirical_ccps(counts, visited):
     return ccps, n_smoothed
 
 
+def _identify(ccps, pair_system, mode, rank_tol, anchor, macro_transitions, extra):
+    """Assemble, solve and recover payoffs: the pipeline of both entry points.
+
+    ``extra`` holds the caller's own diagnostics, appended after the
+    solver's and the payoff-recovery inconsistency.
+    """
+    if macro_transitions is None:
+        A, B = assemble_system(ccps, pair_system)
+        result = solve_discounts(A, B, rank_tol=rank_tol, mode=mode)
+    else:
+        A, B = assemble_system_macro(ccps, pair_system, macro_transitions)
+        result = solve_discounts_macro(A, B, rank_tol=rank_tol, mode=mode)
+    if anchor is None:
+        anchor = (pair_system.num_actions - 1, pair_system.num_states - 1, 0.0)
+    utilities, identified, inconsistency = recover_utilities(
+        ccps[-1], pair_system, anchor
+    )
+    diagnostics = dict(result.diagnostics)
+    diagnostics.update(utility_recovery_max_inconsistency=inconsistency, **extra)
+    return dataclasses.replace(
+        result,
+        diagnostics=diagnostics,
+        utilities_hat=utilities,
+        utility_level_identified=identified,
+    )
+
+
 def identify_model(model: ModelSpec, mode=MODE_RIGHT_INVERSE,
                    rank_tol=DEFAULT_RANK_TOL, anchor=None,
                    macro_transitions=None, pairs=None):
@@ -631,32 +594,13 @@ def identify_model(model: ModelSpec, mode=MODE_RIGHT_INVERSE,
         )
     pair_system = build_pair_system(model.transitions, use_pairs, rank_tol)
     solution = solve_backward(model)
-    if macro_transitions is None:
-        A, B = assemble_system(solution.P, pair_system)
-        result = solve_discounts(A, B, rank_tol=rank_tol, mode=mode)
-    else:
-        A, B = assemble_system_macro(solution.P, pair_system, macro_transitions)
-        result = solve_discounts_macro(A, B, rank_tol=rank_tol, mode=mode)
-
-    if anchor is None:
-        anchor = (model.num_actions - 1, model.num_states - 1, 0.0)
-    utilities, identified, inconsistency = recover_utilities(
-        solution.P[-1], pair_system, anchor
-    )
     gaps = inclusive_value_gaps(solution, pair_system.pairs)
-    cross = [p for p in pair_system.pairs if p[2] != p[3]]
-    diagnostics = dict(result.diagnostics)
-    diagnostics.update(
-        utility_recovery_max_inconsistency=inconsistency,
-        n_cross_state_pairs=len(cross),
-        inclusive_value_gap_max=float(np.abs(gaps).max()) if len(pair_system.pairs) else 0.0,
-    )
-    return dataclasses.replace(
-        result,
-        diagnostics=diagnostics,
-        utilities_hat=utilities,
-        utility_level_identified=identified,
-    )
+    extra = {
+        "n_cross_state_pairs": sum(1 for p in pair_system.pairs if p[2] != p[3]),
+        "inclusive_value_gap_max": float(np.abs(gaps).max()),
+    }
+    return _identify(solution.P, pair_system, mode, rank_tol, anchor,
+                     macro_transitions, extra)
 
 
 def identify_from_estimates(ccp_counts, ccp_visited, transitions, pairs,
@@ -672,41 +616,8 @@ def identify_from_estimates(ccp_counts, ccp_visited, transitions, pairs,
     f = getattr(transitions, "f_hat", transitions)
     pair_system = build_pair_system(f, pairs, rank_tol)
     ccps, n_smoothed = smooth_empirical_ccps(ccp_counts, ccp_visited)
-    if macro_transitions is None:
-        A, B = assemble_system(ccps, pair_system)
-        result = solve_discounts(A, B, rank_tol=rank_tol, mode=mode)
-    else:
-        A, B = assemble_system_macro(ccps, pair_system, macro_transitions)
-        result = solve_discounts_macro(A, B, rank_tol=rank_tol, mode=mode)
-    if anchor is None:
-        anchor = (pair_system.num_actions - 1, pair_system.num_states - 1, 0.0)
-    utilities, identified, inconsistency = recover_utilities(
-        ccps[-1], pair_system, anchor
-    )
-    diagnostics = dict(result.diagnostics)
-    diagnostics.update(
-        smoothed_cells=n_smoothed,
-        utility_recovery_max_inconsistency=inconsistency,
-    )
-    return dataclasses.replace(
-        result,
-        diagnostics=diagnostics,
-        utilities_hat=utilities,
-        utility_level_identified=identified,
-    )
-
-
-def check_ccp_macro_invariance(ccps_by_macro_state):
-    """Largest deviation of per-auxiliary-state CCPs from their pooled mean.
-
-    Input shape (M, T, K, J).  A direct check of condition 6 when per
-    auxiliary state data is available; small values support pooling.
-    """
-    arr = np.asarray(ccps_by_macro_state, dtype=float)
-    if arr.ndim != 4:
-        raise InvalidInputError("expected shape (M, T, K, J)")
-    pooled = arr.mean(axis=0, keepdims=True)
-    return float(np.abs(arr - pooled).max())
+    return _identify(ccps, pair_system, mode, rank_tol, anchor,
+                     macro_transitions, {"smoothed_cells": n_smoothed})
 
 
 def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,

@@ -45,7 +45,6 @@ from .exceptions import InvalidInputError
 # Tolerances used when validating primitives.
 ROW_SUM_TOL = 1e-12
 PAIR_UTILITY_TOL = 1e-12
-SIMPLEX_TOL = 1e-9
 CROSS_CHECK_TOL = 1e-10
 
 
@@ -201,39 +200,6 @@ class ValueSolution:
         return self.V.shape[0]
 
 
-def logsumexp(values, axis=None):
-    """Overflow-safe ``log(sum(exp(values)))``.
-
-    Shifts by the maximum before exponentiating, so inputs like 1000 do
-    not overflow.  Raises on empty or non-finite input.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("logsumexp requires at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("logsumexp requires finite values")
-    out = special.logsumexp(arr, axis=axis)
-    return float(out) if axis is None else out
-
-
-def ccp_from_values(w):
-    """Logit choice probabilities implied by choice-specific values.
-
-    ``w`` holds one value per action along axis 0 (a vector for a single
-    state, or a (K, J) table).  The output sums to one over actions, is
-    strictly positive, and is invariant to adding a common constant to
-    all entries of a state's column.
-    """
-    arr = np.asarray(w, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("ccp_from_values requires at least one action value")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("ccp_from_values requires finite values")
-    shifted = arr - arr.max(axis=0, keepdims=True)
-    expw = np.exp(shifted)
-    return expw / expw.sum(axis=0, keepdims=True)
-
-
 def choice_values(utility, transitions, beta, delta, v_next):
     """Choice-specific values ``u_i(x) + beta * delta * E[v_next | x, i]``.
 
@@ -252,55 +218,6 @@ def choice_values(utility, transitions, beta, delta, v_next):
     if v.shape != (J,):
         raise InvalidInputError(f"v_next must have shape {(J,)}, got {v.shape}")
     return u + beta * delta * (f @ v)
-
-
-def choice_long_run_values(utility, transitions, delta, v_next):
-    """Perceived long-run choice values (``choice_values`` at beta = 1)."""
-    return choice_values(utility, transitions, 1.0, delta, v_next)
-
-
-def perceived_value_step(w_t, p_t, transitions, beta, delta, v_next, check=False):
-    """One backward step of the perceived long-run value.
-
-    Evaluates, state by state,
-
-        V(x) = log(sum_i exp(W_i(x)))
-               + (1 - beta) * delta * sum_j P_j(x) * E[v_next | x, j].
-
-    The first term is the mean-zero extreme value expected maximum; the
-    second corrects for the wedge between today's choice rule (driven by
-    ``beta * delta``) and the long-run valuation (driven by ``delta``).
-    An equivalent rewriting replaces the log-sum-exp with
-    ``W_K(x) - log(P_K(x))`` for the reference action; with
-    ``check=True`` both forms are evaluated and must agree to 1e-10,
-    which guards against ``p_t`` and ``w_t`` drifting out of sync.
-    """
-    w = np.asarray(w_t, dtype=float)
-    p = np.asarray(p_t, dtype=float)
-    f = np.asarray(transitions, dtype=float)
-    v = np.asarray(v_next, dtype=float)
-    if w.ndim != 2 or p.shape != w.shape:
-        raise InvalidInputError("w_t and p_t must both be (K, J) tables")
-    if np.any(p <= 0.0):
-        raise InvalidInputError("choice probabilities must be strictly positive")
-    col_err = np.abs(p.sum(axis=0) - 1.0).max()
-    if col_err > SIMPLEX_TOL:
-        raise InvalidInputError(
-            f"p_t columns must sum to 1 within {SIMPLEX_TOL}; worst deviation {col_err:.3e}"
-        )
-    ev = f @ v  # E[v_next | x, i], shape (K, J)
-    correction = (1.0 - beta) * delta * (p * ev).sum(axis=0)
-    lse = special.logsumexp(w, axis=0)
-    value = lse + correction
-    if check:
-        alt = w[-1] - np.log(p[-1]) + correction
-        gap = np.abs(value - alt).max()
-        if gap > CROSS_CHECK_TOL:
-            raise InvalidInputError(
-                f"the two value-step forms disagree by {gap:.3e}; "
-                "p_t is not the softmax of w_t"
-            )
-    return value
 
 
 def _backward_core(utility, transitions, beta, delta, horizon):
@@ -336,26 +253,34 @@ def solve_backward(model: ModelSpec, check=False) -> ValueSolution:
 
     The continuation value after the final period is zero, so terminal
     choice-specific values equal the flow payoffs.  Each earlier period
-    applies ``choice_values``, ``ccp_from_values`` and
-    ``perceived_value_step`` in turn.  With ``check=True`` every period's
-    value is re-derived through the alternative inversion form and the
-    two must agree to 1e-10.
+    forms ``W`` as ``choice_values`` does, takes its logit, and carries
+    the perceived value back to the period before, all in
+    ``_backward_core``.  With ``check=True`` the returned arrays must
+    satisfy, in every period and state, the two forms of the perceived
+    value
+
+        V = log(sum_i exp(W_i)) + corr = W_K - log(P_K) + corr,
+        corr = (1 - beta) * delta * sum_i P_i * E[V_next | x, i],
+
+    the second being the Hotz-Miller (1993) inversion through the
+    reference action; both must equal ``V`` to 1e-10.
     """
     V, W, logP = _backward_core(
         model.utility, model.transitions, model.beta, model.delta, model.horizon
     )
     solution = ValueSolution(V=V, W=W, P=np.exp(logP))
     if check:
-        T = model.horizon
-        for t in range(T):
-            v_next = V[t + 1] if t + 1 < T else np.zeros(model.num_states)
-            redone = perceived_value_step(
-                solution.W[t], solution.P[t], model.transitions,
-                model.beta, model.delta, v_next, check=True,
+        P = solution.P
+        v_next = np.concatenate([V[1:], np.zeros((1, model.num_states))])
+        ev = np.einsum("ixy,ty->tix", model.transitions, v_next)
+        corr = (1.0 - model.beta) * model.delta * (P * ev).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            hotz_miller = W[:, -1] - np.log(P[:, -1]) + corr
+        lse_gap = np.abs(special.logsumexp(W, axis=1) + corr - V).max()
+        hm_gap = np.abs(hotz_miller - V).max()
+        if not max(lse_gap, hm_gap) <= CROSS_CHECK_TOL:
+            raise InvalidInputError(
+                "backward induction cross-check failed: the log-sum-exp and "
+                f"Hotz-Miller forms of V miss it by {lse_gap:.3e} and {hm_gap:.3e}"
             )
-            gap = np.abs(redone - V[t]).max()
-            if gap > CROSS_CHECK_TOL:
-                raise InvalidInputError(
-                    f"backward induction cross-check failed at period {t}: gap {gap:.3e}"
-                )
     return solution

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import MleConfig, UtilitySpec, fit_mle
-from .exceptions import EmptySummaryError, InvalidInputError
+from .exceptions import EmptySummaryError, HyperdiscError, InvalidInputError
 from .model import ModelSpec, solve_backward
 from .simulation import (
     derive_seed,
@@ -214,7 +214,11 @@ def _mle_config(config: McConfig) -> MleConfig:
 
 def run_one_replication(config: McConfig, replication: int,
                         sample_size: int) -> RepEstimate:
-    """Generate one panel and estimate it; failures become markers."""
+    """Generate one panel and estimate it; failures become markers.
+
+    Only the package's own errors and linear-algebra failures become
+    markers; any other exception propagates.
+    """
     rep_seed = derive_seed(config.base_seed, replication, sample_size)
     try:
         transitions = design_transitions(config, rep_seed)
@@ -244,7 +248,7 @@ def run_one_replication(config: McConfig, replication: int,
             loglik=result.loglik,
             best_start=result.best_start_index,
         )
-    except Exception as err:  # record, never abort the whole study
+    except (HyperdiscError, np.linalg.LinAlgError) as err:  # record, never abort
         return RepEstimate(
             replication=replication,
             sample_size=sample_size,

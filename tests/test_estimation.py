@@ -20,8 +20,7 @@ from hyperdisc import (
     solve_backward,
     transform_params,
 )
-from hyperdisc.estimation import action_state_counts
-from hyperdisc.simulation import estimate_transitions
+from hyperdisc.simulation import empirical_ccps, estimate_transitions
 from conftest import make_random_model
 
 
@@ -234,7 +233,7 @@ class TestLogLikelihood:
 def _loglik_with_utilities(panel, utility, beta, delta, transitions):
     """Likelihood evaluated at an explicit payoff table (test helper)."""
     from hyperdisc.model import _backward_core
-    counts = action_state_counts(panel, utility.shape[0], utility.shape[1])
+    counts = empirical_ccps(panel, utility.shape[1], utility.shape[0]).counts
     _, _, logp = _backward_core(np.asarray(utility, float),
                                 np.asarray(transitions, float),
                                 beta, delta, panel.horizon)

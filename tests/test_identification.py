@@ -8,7 +8,6 @@ from hyperdisc import (
     InvalidInputError,
     assemble_system,
     assemble_system_macro,
-    build_ccp_blocks,
     build_pair_system,
     check_model,
     identify_from_estimates,
@@ -106,49 +105,56 @@ class TestBuildPairSystem:
         J, K = 4, 3
         assert ps.F_tilde.shape == (J - 1, J - 1)
         assert ps.F_tilde_K.shape == (J - 1, J - 1)
-        assert ps.F_stack.shape == ((J - 1) * K, J - 1)
-        assert ps.F_J_stack.shape == ((J - 1) * K, J - 1)
-        # reference-state rows repeat within each action block
-        assert_array_equal(ps.F_J_stack[0], ps.F_J_stack[J - 2])
+        assert ps.F.shape == (K, J, J - 1)
+        assert_array_equal(ps.F, model.transitions[:, :, : J - 1])
+        assert_array_equal(ps.F_tilde_K, ps.F[K - 1, : J - 1] - ps.F[K - 1, J - 1])
 
 
 class TestBuildCcpBlocks:
+    """The pair log ratios D_t and the CCP blocks, as they enter
+    ``assemble_system``."""
+
     def test_identical_pair_entry_is_zero(self):
+        # a pair (k, k, x, x) adds a zero row to F_tilde and a zero log
+        # ratio to every D_t, so the least-squares system is unchanged
         model = make_random_model(3)
-        ps = build_pair_system(model.transitions,
-                               list(model.equality_pairs) + [(1, 1, 0, 0)])
-        sol = solve_backward(model)
-        _, _, D = build_ccp_blocks(sol.P, 0, ps)
-        assert D[-1] == 0.0
+        _, sol, A, B = exact_system(model)
+        extra = build_pair_system(model.transitions,
+                                  list(model.equality_pairs) + [(1, 1, 0, 0)])
+        A2, B2 = assemble_system(sol.P, extra)
+        assert_allclose(A2, A, rtol=0, atol=1e-10)
+        assert_array_equal(B2, B)
 
     def test_uniform_ccps(self):
         model = make_random_model(4)
         ps = build_pair_system(model.transitions, model.equality_pairs)
         K, J, T = model.num_actions, model.num_states, model.horizon
         uniform = np.full((T, K, J), 1.0 / K)
-        P_t, P_tJ, D = build_ccp_blocks(uniform, 0, ps)
-        assert_allclose(D, 0.0, rtol=0, atol=1e-15)
-        assert_allclose(P_t, np.hstack([np.eye(J - 1) / K] * K), rtol=0, atol=1e-15)
-        assert_allclose(P_tJ, np.hstack([np.eye(J - 1) / K] * K), rtol=0, atol=1e-15)
+        A, B = assemble_system(uniform, ps)
+        assert_array_equal(A, 0.0)
+        assert_array_equal(B, 0.0)
 
     def test_ratio_vector_equals_scaled_value_difference(self):
-        # log CCP ratios at same-state pairs recover beta*delta*(F_k - F_l) V
+        # same-state log CCP ratios give D_t = beta*delta*F_tilde dV_{t+1},
+        # so the bottom block of column t is beta*delta*(dV_t - dV_{t-1})
         model = make_random_model(5, num_states=4)
-        ps, sol, _, _ = exact_system(model)
-        J = model.num_states
-        for t in range(model.horizon - 1):
-            _, _, D = build_ccp_blocks(sol.P, t, ps)
-            v_next = sol.V[t + 1]
-            v_diff = v_next[: J - 1] - v_next[J - 1]
-            expected = model.beta * model.delta * (ps.F_tilde @ v_diff)
-            assert_allclose(D, expected, rtol=0, atol=1e-10)
+        ps, sol, A, _ = exact_system(model)
+        n1 = model.num_states - 1
+        dV = sol.V[:, :n1] - sol.V[:, n1:]
+        expected = model.beta * model.delta * np.diff(dV, axis=0)[1:].T
+        assert_allclose(A[2 * n1:], expected, rtol=0, atol=1e-10)
 
     def test_nonpositive_ccps_rejected(self):
         model = make_random_model(6)
         ps = build_pair_system(model.transitions, model.equality_pairs)
-        bad = np.zeros((4, model.num_actions, model.num_states))
-        with pytest.raises(InvalidInputError):
-            build_ccp_blocks(bad, 0, ps)
+        sol = solve_backward(model)
+        bad = sol.P.copy()
+        for value in (0.0, -0.1):
+            bad[2, 0, 1] = value
+            with pytest.raises(InvalidInputError):
+                assemble_system(bad, ps)
+            with pytest.raises(InvalidInputError):
+                assemble_system_macro(bad, ps, np.array([[1.0]]))
 
 
 class TestAssembleSystem:
@@ -158,6 +164,33 @@ class TestAssembleSystem:
         n1 = model.num_states - 1
         assert A.shape == (3 * n1, model.horizon - 2)
         assert B.shape == (n1, model.horizon - 2)
+
+    def test_matches_per_period_definition(self):
+        # column t built period by period from the assemble_system formula,
+        # with G_t summed action by action
+        model = make_random_model(8, num_states=4, num_actions=3, horizon=9)
+        ps, sol, A, B = exact_system(model)
+        f = model.transitions
+        n1 = model.num_states - 1
+        logp = np.log(sol.P)
+        D = np.array([[logp[t, k, x1] - logp[t, l, x2] for (k, l, x1, x2) in ps.pairs]
+                      for t in range(model.horizon)])
+
+        def G_times_solved_D(t):
+            G = sum(sol.P[t, i, :n1, None] * f[i, :n1, :n1]
+                    - sol.P[t, i, n1] * f[i, n1, :n1] for i in range(model.num_actions))
+            return G @ np.linalg.solve(ps.F_tilde, D[t])
+
+        for col, t in enumerate(range(2, model.horizon)):
+            expected = np.concatenate([
+                ps.F_tilde_K @ np.linalg.solve(ps.F_tilde, D[t] - D[t - 1]),
+                G_times_solved_D(t) - G_times_solved_D(t - 1),
+                np.linalg.solve(ps.F_tilde, D[t - 1] - D[t - 2]),
+            ])
+            assert_allclose(A[:, col], expected, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+            target = (logp[t, -1, :n1] - logp[t, -1, n1]
+                      - (logp[t - 1, -1, :n1] - logp[t - 1, -1, n1]))
+            assert_array_equal(B[:, col], target)
 
     def test_exact_residual_on_linear_design_with_same_state_pairs(self):
         # the 5-state linear design at (delta, beta) = (0.9, 0.85), with
@@ -419,6 +452,23 @@ class TestMacroSystem:
         with pytest.raises(InsufficientDataError) as err:
             solve_discounts_macro(At, Bt)
         assert err.value.assumption == "8(a)"
+
+    def test_columns_repeat_the_plain_system(self):
+        # ``outer(x, ones) @ H.T``, the per-period average over the next
+        # auxiliary state, is x times the row sums of H; the bottom block
+        # is repeated as is
+        model = make_random_model(66, num_states=4, num_actions=3)
+        ps, sol, A, B = exact_system(model)
+        H = np.random.default_rng(2).random((3, 3))
+        H /= H.sum(axis=1, keepdims=True)
+        At, Bt = assemble_system_macro(sol.P, ps, H)
+        n1 = model.num_states - 1
+        scale = np.tile(H.sum(axis=1), A.shape[1])
+        expected_A = np.repeat(A, 3, axis=1)
+        expected_A[: 2 * n1] *= scale
+        assert_allclose(At, expected_A, rtol=1e-14, atol=1e-14 * np.abs(A).max())
+        assert_allclose(Bt, np.repeat(B, 3, axis=1) * scale, rtol=1e-14,
+                        atol=1e-14 * np.abs(B).max())
 
     def test_row_sums_validated(self):
         model = make_random_model(65, num_states=3)

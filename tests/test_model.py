@@ -5,75 +5,122 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp
 
 from hyperdisc import (
     InvalidInputError,
     ModelSpec,
     ValueSolution,
-    ccp_from_values,
-    choice_long_run_values,
     choice_values,
-    logsumexp,
-    perceived_value_step,
     solve_backward,
 )
+from hyperdisc import model as model_module
 from conftest import canonical_design, exponential_solution, make_random_model
 
 
+def two_action_model(utility, horizon=1, beta=0.8, delta=0.9, transitions=None):
+    """A J-state, two-action model with the given (2, J) payoff table."""
+    u = np.asarray(utility, dtype=float)
+    J = u.shape[1]
+    f = np.full((2, J, J), 1.0 / J) if transitions is None else transitions
+    return ModelSpec(num_states=J, num_actions=2, horizon=horizon, beta=beta,
+                     delta=delta, utility=u, transitions=f)
+
+
+def shifted_payoffs(model, shift):
+    """``model`` with ``shift`` added to every flow payoff."""
+    return ModelSpec(num_states=model.num_states, num_actions=model.num_actions,
+                     horizon=model.horizon, beta=model.beta, delta=model.delta,
+                     utility=model.utility + shift, transitions=model.transitions)
+
+
+def hotz_miller_values(model, sol):
+    """``W_K - log P_K + (1 - beta) delta sum_i P_i E[V_next | x, i]``, per
+    period, evaluated state by state from the solver's own arrays."""
+    T, K, J = sol.W.shape
+    out = np.empty((T, J))
+    for t in range(T):
+        v_next = sol.V[t + 1] if t + 1 < T else np.zeros(J)
+        ev = model.transitions @ v_next
+        corr = (1 - model.beta) * model.delta * (sol.P[t] * ev).sum(axis=0)
+        out[t] = sol.W[t, -1] - np.log(sol.P[t, -1]) + corr
+    return out
+
+
 class TestLogsumexp:
+    """``V`` is an overflow-safe log-sum-exp of ``W`` (plus the beta-delta
+    correction, which vanishes in a single period)."""
+
     def test_two_equal_entries(self):
-        assert_allclose(logsumexp([0.0, 0.0]), math.log(2.0), rtol=0, atol=1e-15)
+        sol = solve_backward(two_action_model([[0.0, 1.5], [0.0, 1.5]]))
+        assert_allclose(sol.V[0], [math.log(2.0), 1.5 + math.log(2.0)],
+                        rtol=0, atol=1e-15)
 
     def test_overflow_safety(self):
-        assert_allclose(logsumexp([1000.0, 1000.0]), 1000.0 + math.log(2.0),
-                        rtol=0, atol=1e-12)
+        sol = solve_backward(two_action_model([[1000.0], [1000.0]]), check=True)
+        assert_allclose(sol.V[0], [1000.0 + math.log(2.0)], rtol=0, atol=1e-12)
+        assert_allclose(sol.P[0], 0.5, rtol=0, atol=1e-12)
 
     def test_singleton_identity(self):
+        # a negligible second action leaves V at the dominant payoff
         for x in (-3.5, 0.0, 42.0):
-            assert logsumexp([x]) == pytest.approx(x, abs=1e-15)
+            sol = solve_backward(two_action_model([[x], [x - 800.0]]))
+            assert sol.V[0, 0] == pytest.approx(x, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            logsumexp([])
+            two_action_model([[0.0], [0.0]], horizon=0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            logsumexp([0.0, np.inf])
+            two_action_model([[0.0, np.inf], [0.0, 0.0]])
 
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
-           st.floats(-1e3, 1e3))
-    def test_shift_invariance(self, values, shift):
-        base = logsumexp(values)
-        shifted = logsumexp([v + shift for v in values])
-        assert shifted == pytest.approx(base + shift, abs=1e-9)
+    @given(st.floats(-1e3, 1e3))
+    def test_shift_invariance(self, shift):
+        # a common payoff shift c moves V_t by c (1 + delta + ... + delta^(T-1-t))
+        model = make_random_model(12, horizon=6)
+        base = solve_backward(model)
+        moved = solve_backward(shifted_payoffs(model, shift), check=True)
+        remaining = model.horizon - np.arange(model.horizon)
+        expected = shift * (1 - model.delta ** remaining) / (1 - model.delta)
+        assert_allclose(moved.V - base.V - expected[:, None], 0.0, rtol=0, atol=1e-9)
 
 
 class TestCcpFromValues:
+    """``P`` is the logit of ``W``."""
+
     def test_symmetric(self):
-        assert_allclose(ccp_from_values([0.0, 0.0]), [0.5, 0.5], rtol=0, atol=1e-15)
+        f = np.random.default_rng(1).random((1, 3, 3))
+        f = np.repeat(f / f.sum(axis=2, keepdims=True), 2, axis=0)
+        sol = solve_backward(two_action_model([[0.3, -1.0, 2.0]] * 2, horizon=4,
+                                              transitions=f))
+        assert_allclose(sol.P, 0.5, rtol=0, atol=1e-15)
 
     def test_logistic_value(self):
         # independent evaluation of exp(0.5) / (1 + exp(0.5))
         p1 = math.exp(0.5) / (1.0 + math.exp(0.5))
-        got = ccp_from_values([0.5, 0.0])
+        got = solve_backward(two_action_model([[0.5], [0.0]])).P[0, :, 0]
         assert_allclose(got, [p1, 1.0 - p1], rtol=0, atol=1e-15)
         assert_allclose(got, [0.62246, 0.37754], rtol=0, atol=1e-5)
 
     def test_sums_to_one_and_positive(self):
-        p = ccp_from_values(np.random.default_rng(0).normal(size=(4, 6)))
-        assert np.all(p > 0)
-        assert_allclose(p.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+        sol = solve_backward(make_random_model(0, num_states=6, num_actions=4))
+        assert np.all(sol.P > 0)
+        assert_allclose(sol.P.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        expw = np.exp(sol.W)
+        assert_allclose(sol.P, expw / expw.sum(axis=1, keepdims=True),
+                        rtol=0, atol=1e-14)
 
-    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
-           st.floats(-50, 50))
-    def test_shift_invariance(self, w, c):
-        base = ccp_from_values(w)
-        shifted = ccp_from_values([v + c for v in w])
-        assert_allclose(shifted, base, rtol=0, atol=1e-12)
+    @given(st.floats(-50, 50))
+    def test_shift_invariance(self, shift):
+        model = make_random_model(13, horizon=6)
+        base = solve_backward(model)
+        moved = solve_backward(shifted_payoffs(model, shift))
+        assert_allclose(moved.P, base.P, rtol=0, atol=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            ccp_from_values([np.nan, 0.0])
+            two_action_model([[np.nan, 0.0], [0.0, 0.0]])
 
 
 class TestChoiceValues:
@@ -86,9 +133,11 @@ class TestChoiceValues:
     def test_beta_one_matches_long_run_values(self):
         model = make_random_model(4)
         v_next = np.random.default_rng(5).normal(size=model.num_states)
-        assert_array_equal(
+        expected = model.utility + model.delta * np.einsum(
+            "ixy,y->ix", model.transitions, v_next)
+        assert_allclose(
             choice_values(model.utility, model.transitions, 1.0, model.delta, v_next),
-            choice_long_run_values(model.utility, model.transitions, model.delta, v_next),
+            expected, rtol=0, atol=1e-14,
         )
 
     def test_hand_computed_single_cell(self):
@@ -115,64 +164,49 @@ class TestChoiceValues:
 
 
 class TestPerceivedValueStep:
+    """The perceived value ``V`` against its log-sum-exp and Hotz-Miller
+    forms, the identities ``solve_backward(check=True)`` enforces."""
+
     def test_beta_one_reduces_to_logsumexp(self):
         model = make_random_model(8, beta=1.0)
-        v_next = np.random.default_rng(2).normal(size=model.num_states)
-        w = choice_values(model.utility, model.transitions, 1.0, model.delta, v_next)
-        p = ccp_from_values(w)
-        v = perceived_value_step(w, p, model.transitions, 1.0, model.delta, v_next)
-        expected = [logsumexp(w[:, x]) for x in range(model.num_states)]
-        assert_allclose(v, expected, rtol=0, atol=1e-12)
+        sol = solve_backward(model, check=True)
+        assert_allclose(sol.V, logsumexp(sol.W, axis=1), rtol=0, atol=1e-12)
 
     def test_terminal_step_is_logsumexp_of_utility(self):
         model = make_random_model(9)
-        zero = np.zeros(model.num_states)
-        w = choice_values(model.utility, model.transitions, model.beta,
-                          model.delta, zero)
-        p = ccp_from_values(w)
-        v = perceived_value_step(w, p, model.transitions, model.beta,
-                                 model.delta, zero)
-        expected = [logsumexp(model.utility[:, x]) for x in range(model.num_states)]
-        assert_allclose(v, expected, rtol=0, atol=1e-12)
+        sol = solve_backward(model)
+        assert_allclose(sol.V[-1], logsumexp(model.utility, axis=0), rtol=0, atol=1e-12)
 
     def test_both_algebraic_forms_agree(self):
-        model = make_random_model(10)
-        v_next = np.random.default_rng(3).normal(size=model.num_states)
-        w = choice_values(model.utility, model.transitions, model.beta,
-                          model.delta, v_next)
-        p = ccp_from_values(w)
-        lse_form = perceived_value_step(w, p, model.transitions, model.beta,
-                                        model.delta, v_next)
-        ref_form = (w[-1] - np.log(p[-1])
-                    + (1 - model.beta) * model.delta
-                    * (p * (model.transitions @ v_next)).sum(axis=0))
-        assert_allclose(lse_form, ref_form, rtol=0, atol=1e-10)
-        # check=True runs the same comparison internally
-        perceived_value_step(w, p, model.transitions, model.beta,
-                             model.delta, v_next, check=True)
+        for seed, kwargs in ((10, {}), (11, {"beta": 1.0}),
+                             (12, {"num_states": 6, "num_actions": 4})):
+            model = make_random_model(seed, **kwargs)
+            sol = solve_backward(model, check=True)
+            assert_allclose(sol.V, hotz_miller_values(model, sol), rtol=0, atol=1e-10)
 
-    def test_inconsistent_probabilities_rejected(self):
+    def test_inconsistent_probabilities_rejected(self, monkeypatch):
+        core = model_module._backward_core
+
+        def perturbed_core(*args):
+            V, W, logP = core(*args)
+            W = W.copy()
+            W[1, 0, 1] += 1e-6
+            return V, W, logP
+
         model = make_random_model(11)
-        v_next = np.zeros(model.num_states)
-        w = choice_values(model.utility, model.transitions, model.beta,
-                          model.delta, v_next)
-        bad = np.full_like(w, 1.0 / model.num_actions)
-        with pytest.raises(InvalidInputError):
-            perceived_value_step(w, bad, model.transitions, model.beta,
-                                 model.delta, v_next, check=True)
-        not_simplex = ccp_from_values(w) * 1.05
-        with pytest.raises(InvalidInputError):
-            perceived_value_step(w, not_simplex, model.transitions, model.beta,
-                                 model.delta, v_next)
+        monkeypatch.setattr(model_module, "_backward_core", perturbed_core)
+        solve_backward(model)  # without the check the drift goes unnoticed
+        with pytest.raises(InvalidInputError, match="cross-check"):
+            solve_backward(model, check=True)
 
 
 class TestSolveBackward:
     def test_single_period(self):
         model = make_random_model(20, horizon=1)
         sol = solve_backward(model)
-        assert_allclose(sol.P[0], ccp_from_values(model.utility), rtol=0, atol=1e-14)
-        expected_v = [logsumexp(model.utility[:, x]) for x in range(model.num_states)]
-        assert_allclose(sol.V[0], expected_v, rtol=0, atol=1e-12)
+        expu = np.exp(model.utility)
+        assert_allclose(sol.P[0], expu / expu.sum(axis=0), rtol=0, atol=1e-14)
+        assert_allclose(sol.V[0], np.log(expu.sum(axis=0)), rtol=0, atol=1e-12)
 
     def test_terminal_values_equal_utility_exactly(self):
         model = make_random_model(21)
@@ -190,15 +224,18 @@ class TestSolveBackward:
         assert_allclose(sol.P, P, rtol=0, atol=1e-10)
 
     def test_composition_of_public_steps(self):
+        # each period: choice_values on the next V, its logit, then the
+        # log-sum-exp plus the beta-delta correction
         model = make_random_model(22, num_states=4, horizon=7)
         sol = solve_backward(model, check=True)
+        corr = (1 - model.beta) * model.delta
         v_next = np.zeros(model.num_states)
         for t in range(model.horizon - 1, -1, -1):
             w = choice_values(model.utility, model.transitions, model.beta,
                               model.delta, v_next)
-            p = ccp_from_values(w)
-            v_next = perceived_value_step(w, p, model.transitions, model.beta,
-                                          model.delta, v_next, check=True)
+            p = np.exp(w) / np.exp(w).sum(axis=0)
+            v_next = (np.log(np.exp(w).sum(axis=0))
+                      + corr * (p * (model.transitions @ v_next)).sum(axis=0))
             assert_allclose(sol.W[t], w, rtol=0, atol=1e-10)
             assert_allclose(sol.P[t], p, rtol=0, atol=1e-12)
             assert_allclose(sol.V[t], v_next, rtol=0, atol=1e-10)

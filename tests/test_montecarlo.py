@@ -12,6 +12,7 @@ from hyperdisc import (
     run_replications,
     summarize,
 )
+from hyperdisc import montecarlo
 from hyperdisc.montecarlo import (
     FRESH_PER_REP,
     design_model,
@@ -90,6 +91,14 @@ class TestRunReplications:
         assert all("NonConvergenceError" in r.error for r in records)
         with pytest.raises(EmptySummaryError):
             summarize(records)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise TypeError("fit_mle() got an unexpected keyword argument")
+
+        monkeypatch.setattr(montecarlo, "fit_mle", broken_fit)
+        with pytest.raises(TypeError):
+            run_one_replication(small_config(), 0, 150)
 
     def test_seed_derivation_matches_single_run(self):
         config = small_config()
