@@ -142,24 +142,23 @@ def estimation_config_from_dict(data: dict):
         state_values=data.get("state_values"),
         reference_action=data.get("reference_action"),
     )
+    # only the keys the document sets reach MleConfig, which holds the defaults
+    options = {key: data[key] for key in ("theta_ref", "theta_start_scale", "beta_starts",
+                                          "delta_starts", "max_iterations", "fixed_parameters")
+               if key in data}
+    for key in ("theta_ref", "beta_starts", "delta_starts"):
+        if key in options:
+            options[key] = tuple(options[key])
     tol = data.get("tolerances", {})
-    starts = data.get("starts")
-    if starts is not None:
-        starts = tuple(
+    for key, attr in (("parameter", "param_tol"), ("objective", "objective_tol")):
+        if key in tol:
+            options[attr] = tol[key]
+    if data.get("starts") is not None:
+        options["starts"] = tuple(
             (np.asarray(s["theta_u"], dtype=float), s["beta"], s["delta"])
-            for s in starts
+            for s in data["starts"]
         )
-    config = MleConfig(
-        theta_ref=tuple(data.get("theta_ref", ())),
-        theta_start_scale=data.get("theta_start_scale", 0.95),
-        beta_starts=tuple(data.get("beta_starts", (0.7, 0.8, 0.9))),
-        delta_starts=tuple(data.get("delta_starts", (0.7, 0.8, 0.9))),
-        starts=starts,
-        param_tol=tol.get("parameter", 1e-8),
-        objective_tol=tol.get("objective", 1e-10),
-        max_iterations=data.get("max_iterations", 5000),
-        fixed_parameters=dict(data.get("fixed_parameters", {})),
-    )
+    config = MleConfig(**options)
     return spec, config
 
 

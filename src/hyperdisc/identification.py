@@ -68,13 +68,9 @@ from .exceptions import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .model import ModelSpec, ValueSolution, solve_backward
+from .model import PAIR_UTILITY_TOL, ModelSpec, ValueSolution, solve_backward
 
 DEFAULT_RANK_TOL = 1e-10
-
-# Pair equalities are validated at 1e-12 when a ModelSpec is built; the
-# check report reuses the same tolerance.
-PAIR_TOL_FOR_CHECK = 1e-12
 
 MODE_RIGHT_INVERSE = "paper_right_inverse"
 MODE_CONSTRAINED_LS = "constrained_ls"
@@ -84,15 +80,6 @@ ASSUMPTION_TEXT = {
     "1": "state transitions are Markov given the action",
     "2": "taste shocks are i.i.d. type 1 extreme value with mean zero",
     "3": "flow payoffs are additively separable and time invariant",
-    "4(a)": "at least J-1 equal-payoff action/state pairs",
-    "4(b)": "the pair-difference transition matrix F_tilde has full column rank",
-    "5(a)": "the panel spans at least 3J-1 periods",
-    "5(b)": "the stacked regressor matrix A has full row rank",
-    "6": "choice probabilities do not depend on the auxiliary state",
-    "7(a)": "equal-payoff pairs hold for every auxiliary state value",
-    "7(b)": "the pair-difference transition matrix F_tilde has full column rank",
-    "8(a)": "(T-2)*M is at least 3(J-1)",
-    "8(b)": "the stacked macro regressor matrix A_tilde has full row rank",
 }
 
 
@@ -154,6 +141,11 @@ class IdentificationResult:
     utility_level_identified: np.ndarray | None = None
 
 
+def _pair_columns(pairs):
+    """The four index arrays ``(k, l, x1, x2)`` of a pair list, empty or not."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
+
+
 def numerical_rank(matrix, rank_tol=None):
     """Rank by singular values.
 
@@ -198,7 +190,8 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
         )
 
     F = f[:, :, : J - 1].copy()  # F_i(x) rows, dropping the last next-state column
-    F_tilde = np.array([F[k, x1] - F[l, x2] for (k, l, x1, x2) in norm_pairs])
+    k, l, x1, x2 = _pair_columns(norm_pairs)
+    F_tilde = F[k, x1] - F[l, x2]
     F_tilde_K = F[K - 1, : J - 1] - F[K - 1, J - 1]
 
     rank, sv = numerical_rank(F_tilde, rank_tol)
@@ -252,7 +245,7 @@ def _assemble(ccps, pair_system, min_periods, assumption=None):
             assumption=assumption,
         )
     logc = np.log(arr)
-    k, l, x1, x2 = np.array(pair_system.pairs).T
+    k, l, x1, x2 = _pair_columns(pair_system.pairs)
     D = logc[:, k, x1] - logc[:, l, x2]                  # (T, n_pairs)
     solved_D = pair_system.solve(D.T)                     # (J-1, T)
     solved_dD = pair_system.solve(np.diff(D, axis=0).T)   # (J-1, T-1)
@@ -277,6 +270,21 @@ def assemble_system(ccps, pair_system):
     return _assemble(ccps, pair_system, 4, "5(a)")
 
 
+def _validate_macro(macro_transitions):
+    """``macro_transitions`` as a float array, once it is a row-stochastic square matrix."""
+    H = np.asarray(macro_transitions, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidInputError("macro_transitions must be a square matrix")
+    if not np.all(np.isfinite(H)) or np.any(H < 0.0):
+        raise InvalidInputError("macro_transitions must be finite and non-negative")
+    row_err = np.abs(H.sum(axis=1) - 1.0).max()
+    if row_err > 1e-12:
+        raise InvalidInputError(
+            f"macro_transitions rows must sum to 1 within 1e-12; worst {row_err:.3e}"
+        )
+    return H
+
+
 def assemble_system_macro(ccps, pair_system, macro_transitions):
     """Macro-state variant of ``assemble_system``.
 
@@ -292,18 +300,8 @@ def assemble_system_macro(ccps, pair_system, macro_transitions):
     information; its only effect is to pass the count gate 8(a).
     Shapes are (3(J-1), (T-2)M) and (J-1, (T-2)M); T = 3 suffices here.
     """
-    H = np.asarray(macro_transitions, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidInputError("macro_transitions must be a square matrix")
-    if not np.all(np.isfinite(H)) or np.any(H < 0.0):
-        raise InvalidInputError("macro_transitions must be finite and non-negative")
-    row_err = np.abs(H.sum(axis=1) - 1.0).max()
-    if row_err > 1e-12:
-        raise InvalidInputError(
-            f"macro_transitions rows must sum to 1 within 1e-12; worst {row_err:.3e}"
-        )
+    M = _validate_macro(macro_transitions).shape[0]
     A, B = _assemble(ccps, pair_system, 3)
-    M = H.shape[0]
     return np.repeat(A, M, axis=1), np.repeat(B, M, axis=1)
 
 
@@ -512,10 +510,8 @@ def inclusive_value_gaps(solution_or_w, pairs):
     from scipy.special import logsumexp as _lse
 
     inclusive = _lse(w, axis=1)  # (T, J)
-    return np.array(
-        [[inclusive[t, x1] - inclusive[t, x2] for (_, _, x1, x2) in pairs]
-         for t in range(w.shape[0])]
-    )
+    _, _, x1, x2 = _pair_columns(pairs)
+    return inclusive[:, x1] - inclusive[:, x2]
 
 
 def smooth_empirical_ccps(counts, visited):
@@ -635,6 +631,7 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
     ``{condition: {"passed": bool, "detail": str}}``.
     """
     J, K, T = model.num_states, model.num_actions, model.horizon
+    H = None if macro_transitions is None else _validate_macro(macro_transitions)
     report = {}
     for cond in ("1", "2", "3"):
         report[cond] = {
@@ -643,11 +640,9 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
         }
 
     pairs = model.equality_pairs
-    gap = max(
-        (abs(model.utility[k, x1] - model.utility[l, x2]) for (k, l, x1, x2) in pairs),
-        default=0.0,
-    )
-    ok_a = len(pairs) >= J - 1 and gap <= PAIR_TOL_FOR_CHECK
+    k, l, x1, x2 = _pair_columns(pairs)
+    gap = np.abs(model.utility[k, x1] - model.utility[l, x2]).max(initial=0.0)
+    ok_a = len(pairs) >= J - 1 and gap <= PAIR_UTILITY_TOL
     report["4(a)"] = {
         "passed": bool(ok_a),
         "detail": f"{len(pairs)} pairs supplied (need {J - 1}); "
@@ -688,8 +683,7 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
             "detail": "A not assembled (pair system unavailable or T < 4)",
         }
 
-    if macro_transitions is not None:
-        H = np.asarray(macro_transitions, dtype=float)
+    if H is not None:
         M = H.shape[0]
         report["6"] = {
             "passed": True,

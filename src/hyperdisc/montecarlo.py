@@ -65,8 +65,6 @@ class McConfig:
     state_values: tuple | None = None
     initial_dist: tuple | None = None
     mle_max_iterations: int = 5000
-    mle_param_tol: float = 1e-8
-    mle_objective_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_replications < 1:
@@ -207,8 +205,6 @@ def _mle_config(config: McConfig) -> MleConfig:
     return MleConfig(
         theta_ref=(config.alpha0, config.alpha1),
         max_iterations=config.mle_max_iterations,
-        param_tol=config.mle_param_tol,
-        objective_tol=config.mle_objective_tol,
     )
 
 

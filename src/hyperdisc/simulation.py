@@ -6,7 +6,9 @@ maximizing; the two procedures are identical in distribution, and the
 direct draw sidesteps any shock-location convention.  Every agent owns
 an independent random stream derived from ``(base_seed, agent_id)``
 through the splitmix64-based mixer below, so panels are reproducible
-byte for byte and independent of any parallel scheduling.
+byte for byte and independent of any parallel scheduling.  Only the
+uniforms are drawn agent by agent; the walk itself moves every agent
+one period at a time with whole-array inverse-CDF steps.
 """
 
 from __future__ import annotations
@@ -129,7 +131,13 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
     repeatedly draws an action from the period/state CCP and a next
     state from the chosen action's transition row.  Agent ``n`` uses the
     stream ``derive_seed(seed, n)``, consuming one uniform for the
-    initial state and two per period.
+    initial state and two per period (the last state draw is unused).
+
+    All ``1 + 2T`` uniforms of every agent are drawn first into one
+    (N, 1 + 2T) float array, 8(1 + 2T) bytes per agent, about the size
+    of the returned panel.  The walk then moves all agents together, one
+    period at a time, so Python loops over agents only to fill that
+    array.
     """
     J, K, T = model.num_states, model.num_actions, model.horizon
     if solution.V.shape != (T, J) or solution.P.shape != (T, K, J):
@@ -147,22 +155,19 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
     cum_p = np.cumsum(solution.P, axis=1)      # over actions
     cum_f = np.cumsum(model.transitions, axis=2)  # over next states
 
+    u = np.empty((n_agents, 1 + 2 * T))
+    for n in range(n_agents):
+        u[n] = np.random.default_rng(derive_seed(seed, n)).random(1 + 2 * T)
+    # inverse CDF on a non-decreasing c: count(c <= u) is
+    # searchsorted(c, u, side="right"); the min guards rounding at the top
     states = np.empty((n_agents, T), dtype=np.int64)
     actions = np.empty((n_agents, T), dtype=np.int64)
-    last_action = K - 1
-    last_state = J - 1
-    for n in range(n_agents):
-        rng = np.random.default_rng(derive_seed(seed, n))
-        u = rng.random(1 + 2 * T)
-        x = min(int(np.searchsorted(cum_init, u[0], side="right")), last_state)
-        for t in range(T):
-            a = min(int(np.searchsorted(cum_p[t, :, x], u[1 + 2 * t], side="right")),
-                    last_action)
-            states[n, t] = x
-            actions[n, t] = a
-            if t < T - 1:
-                x = min(int(np.searchsorted(cum_f[a, x], u[2 + 2 * t], side="right")),
-                        last_state)
+    x = np.minimum((cum_init <= u[:, :1]).sum(axis=1), J - 1)
+    for t in range(T):
+        a = np.minimum((cum_p[t][:, x] <= u[:, 1 + 2 * t]).sum(axis=0), K - 1)
+        states[:, t] = x
+        actions[:, t] = a
+        x = np.minimum((cum_f[a, x] <= u[:, 2 + 2 * t, None]).sum(axis=1), J - 1)
     return PanelData(states=states, actions=actions)
 
 

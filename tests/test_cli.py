@@ -278,3 +278,14 @@ class TestCheckCommand:
         assert report["assumptions"]["8(a)"]["passed"]
         assert report["assumptions"]["8(b)"]["passed"]
         assert code == 0
+
+    @pytest.mark.parametrize("document", [{"other": [[1.0]]},
+                                          {"macro_transitions": [[2.0, -1.0], [0.5, 0.5]]}])
+    def test_invalid_macro_document_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "short.json"
+        save_model(make_random_model(66, num_states=2, horizon=3), path)
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps(document))
+        code = main(["check", "--model", str(path), "--macro", str(hfile)])
+        assert code == 2
+        assert "macro_transitions" in capsys.readouterr().err

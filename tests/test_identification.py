@@ -391,6 +391,26 @@ class TestInclusiveValueGaps:
         gaps = inclusive_value_gaps(sol, model.equality_pairs)
         assert np.abs(gaps).max() > 1e-3
 
+    def test_matches_per_element_definition(self):
+        from scipy.special import logsumexp
+        model = canonical_design(setting=1)
+        sol = solve_backward(model)
+        pairs = model.equality_pairs + ((0, 1, 0, 0),)
+        assert any(x1 != x2 for (_, _, x1, x2) in pairs)
+        gaps = inclusive_value_gaps(sol, pairs)
+        expected = np.array([
+            [logsumexp(sol.W[t, :, x1]) - logsumexp(sol.W[t, :, x2])
+             for (_, _, x1, x2) in pairs]
+            for t in range(model.horizon)
+        ])
+        assert_array_equal(gaps, expected)
+        assert_array_equal(inclusive_value_gaps(sol.W, pairs), expected)
+
+    def test_empty_pair_list(self):
+        model = make_random_model(51)
+        gaps = inclusive_value_gaps(solve_backward(model), ())
+        assert gaps.shape == (model.horizon, 0)
+
 
 class TestMacroSystem:
     def test_single_macro_state_reduces_exactly(self):
@@ -521,6 +541,18 @@ class TestCheckModel:
         for key in ("6", "7(a)", "7(b)", "8(a)", "8(b)"):
             assert key in report
         assert report["8(a)"]["passed"]  # (16-2)*2 = 28 >= 12
+
+    @pytest.mark.parametrize("H", [
+        [[2.0, -1.0], [0.5, 0.5]],   # rows sum to 1, one entry negative
+        [[0.5, 0.4], [0.3, 0.7]],    # a row off 1
+        [0.5, 0.5],                  # not square
+        np.nan,                      # a document without the matrix
+    ])
+    def test_invalid_macro_transitions_rejected(self, H):
+        # T = 3 is too short to assemble A, so nothing else reads H
+        model = make_random_model(66, num_states=2, horizon=3)
+        with pytest.raises(InvalidInputError, match="macro_transitions"):
+            check_model(model, macro_transitions=H)
 
 
 class TestDataMode:

@@ -51,7 +51,66 @@ class TestDeriveSeed:
             assert 0 <= value < 2**64
 
 
+def per_agent_reference(model, solution, n_agents, initial_dist=None, seed=0):
+    """The panel drawn agent by agent and period by period, one scalar
+    ``searchsorted`` per draw, from the streams of docs/FORMATS.md."""
+    J, K, T = model.num_states, model.num_actions, model.horizon
+    if initial_dist is None:
+        initial_dist = np.full(J, 1.0 / J)
+    cum_init = np.cumsum(np.asarray(initial_dist, dtype=float))
+    cum_p = np.cumsum(solution.P, axis=1)
+    cum_f = np.cumsum(model.transitions, axis=2)
+    states = np.empty((n_agents, T), dtype=np.int64)
+    actions = np.empty((n_agents, T), dtype=np.int64)
+    for n in range(n_agents):
+        u = np.random.default_rng(derive_seed(seed, n)).random(1 + 2 * T)
+        x = min(int(np.searchsorted(cum_init, u[0], side="right")), J - 1)
+        for t in range(T):
+            a = min(int(np.searchsorted(cum_p[t, :, x], u[1 + 2 * t], side="right")),
+                    K - 1)
+            states[n, t] = x
+            actions[n, t] = a
+            if t < T - 1:
+                x = min(int(np.searchsorted(cum_f[a, x], u[2 + 2 * t], side="right")),
+                        J - 1)
+    return states, actions
+
+
+def _reference_case(name):
+    """(model, n_agents, initial_dist) of one edge case of the walk."""
+    if name == "one_state":
+        model = ModelSpec(num_states=1, num_actions=2, horizon=4, beta=0.8, delta=0.9,
+                          utility=[[0.3], [0.0]], transitions=np.ones((2, 1, 1)))
+        return model, 50, None
+    if name == "one_period":
+        return make_random_model(200, num_states=4, horizon=1), 60, None
+    if name == "one_agent":
+        return make_random_model(201), 1, None
+    if name == "three_actions":
+        return make_random_model(202, num_states=4, num_actions=3), 80, None
+    if name == "zero_mass_ends":
+        return make_random_model(203, num_states=4), 80, [0.0, 0.3, 0.7, 0.0]
+    # payoffs x900 push every CCP to exactly 0 or 1
+    base = make_random_model(204, num_states=4, num_actions=3)
+    model = ModelSpec(num_states=4, num_actions=3, horizon=base.horizon, beta=base.beta,
+                      delta=base.delta, utility=900.0 * base.utility,
+                      transitions=base.transitions)
+    return model, 80, None
+
+
 class TestSimulatePanel:
+    @pytest.mark.parametrize("case", ["one_state", "one_period", "one_agent",
+                                      "three_actions", "zero_mass_ends", "saturated"])
+    def test_matches_per_agent_reference(self, case):
+        model, n_agents, init = _reference_case(case)
+        sol = solve_backward(model)
+        if case == "saturated":
+            assert np.any(sol.P == 0.0) and np.any(sol.P == 1.0)
+        panel = simulate_panel(model, sol, n_agents, initial_dist=init, seed=31)
+        states, actions = per_agent_reference(model, sol, n_agents, init, seed=31)
+        assert_array_equal(panel.states, states)
+        assert_array_equal(panel.actions, actions)
+
     def test_seed_determinism(self):
         model = make_random_model(0)
         sol = solve_backward(model)
