@@ -114,7 +114,9 @@ def _load_macro(path):
         return None
     data = fileio.load_json(path)
     if isinstance(data, dict):
-        data = data.get("macro_transitions")
+        if "macro_transitions" not in data:
+            raise InvalidInputError(f"{path}: JSON object has no 'macro_transitions' key")
+        data = data["macro_transitions"]
     return np.asarray(data, dtype=float)
 
 

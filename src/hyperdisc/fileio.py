@@ -7,7 +7,9 @@ module is the only place that reads or writes them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +25,8 @@ MODEL_FIELDS = ("num_states", "num_actions", "horizon", "beta", "delta",
                 "utility", "transitions", "state_values", "equality_pairs")
 
 PANEL_HEADER = ["agent", "period", "state", "action"]
+_WRITE_BLOCK_ROWS = 32768
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def model_to_dict(model: ModelSpec) -> dict:
@@ -72,60 +76,116 @@ def load_model(path) -> ModelSpec:
 def write_panel_csv(panel: PanelData, path) -> None:
     """Panel CSV: header agent,period,state,action; 1-based periods,
     0-based state/action indices, LF line endings."""
+    n_agents, horizon = panel.states.shape
+    rows = np.empty((n_agents * horizon, 4), dtype=np.int64)
+    rows[:, 0] = np.repeat(np.arange(n_agents), horizon)
+    rows[:, 1] = np.tile(np.arange(1, horizon + 1), n_agents)
+    rows[:, 2] = panel.states.ravel()
+    rows[:, 3] = panel.actions.ravel()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for n in range(panel.n_agents):
-            for t in range(panel.horizon):
-                writer.writerow([n, t + 1, panel.states[n, t], panel.actions[n, t]])
+        fh.write(",".join(PANEL_HEADER) + "\n")
+        # one format string per block bounds the tuple of Python ints it needs
+        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            block = rows[start:start + _WRITE_BLOCK_ROWS]
+            fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_panel_csv(path) -> PanelData:
-    """Read a panel CSV, rejecting unbalanced or non-contiguous panels."""
+    """Read a panel CSV, rejecting unbalanced or non-contiguous panels.
+
+    Rows may come in any order, blank lines are skipped, ``#`` starts no
+    comment, fields may be CSV-quoted, and agent ids are int64 values
+    whose rows come back in ascending id order.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise InvalidInputError("panel file is empty") from None
         if header != PANEL_HEADER:
             raise InvalidInputError(
                 f"panel header must be {','.join(PANEL_HEADER)}, got {','.join(header)}"
             )
-        by_agent: dict = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InvalidInputError(f"line {lineno}: expected 4 fields, got {len(row)}")
+        with warnings.catch_warnings():
+            # a body without records is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                agent, period, state, action = (int(v) for v in row)
+                table = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
+                                   comments=None, quotechar='"')
             except ValueError:
-                raise InvalidInputError(f"line {lineno}: fields must be integers") from None
-            if period < 1 or state < 0 or action < 0:
-                raise InvalidInputError(f"line {lineno}: index out of range")
-            cell = by_agent.setdefault(agent, {})
-            if period in cell:
-                raise InvalidInputError(
-                    f"line {lineno}: duplicate record for agent {agent}, period {period}"
-                )
-            cell[period] = (state, action)
-    if not by_agent:
+                table = None
+    unparsed = None
+    if table is None or table.shape[1] != 4:
+        table, unparsed = _scan_panel_rows(path)
+    agent, period, state, action = table.T
+    out_of_range = (period < 1) | (state < 0) | (action < 0)
+    # a stable sort keeps file order among equal keys, so every repeat of
+    # an (agent, period) key after its first occurrence is a duplicate
+    order = np.lexsort((period, agent))
+    repeated = ((agent[order[1:]] == agent[order[:-1]])
+                & (period[order[1:]] == period[order[:-1]]))
+    duplicate = np.zeros(len(table), dtype=bool)
+    duplicate[order[1:][repeated]] = True
+    bad = np.flatnonzero(out_of_range | duplicate)
+    if bad.size:
+        row = bad[0]
+        lineno = next(itertools.islice(_panel_records(path), row, None))[0]
+        if out_of_range[row]:
+            raise InvalidInputError(f"line {lineno}: index out of range")
+        raise InvalidInputError(
+            f"line {lineno}: duplicate record for agent {agent[row]}, period {period[row]}"
+        )
+    if unparsed is not None:
+        raise unparsed
+    if not len(table):
         raise InvalidInputError("panel file contains no records")
-    horizon = max(max(periods) for periods in by_agent.values())
-    agents = sorted(by_agent)
-    states = np.empty((len(agents), horizon), dtype=np.int64)
-    actions = np.empty((len(agents), horizon), dtype=np.int64)
-    for i, agent in enumerate(agents):
-        periods = by_agent[agent]
-        if len(periods) != horizon or set(periods) != set(range(1, horizon + 1)):
-            raise InvalidInputError(
-                f"agent {agent} does not cover periods 1..{horizon}; "
-                "unbalanced panels are rejected"
-            )
-        for t in range(horizon):
-            states[i, t], actions[i, t] = periods[t + 1]
-    return PanelData(states=states, actions=actions)
+    horizon = int(period.max())
+    agents, counts = np.unique(agent, return_counts=True)
+    # without duplicates, an agent covers 1..horizon iff it has horizon rows
+    short = np.flatnonzero(counts != horizon)
+    if short.size:
+        raise InvalidInputError(
+            f"agent {agents[short[0]]} does not cover periods 1..{horizon}; "
+            "unbalanced panels are rejected"
+        )
+    return PanelData(states=state[order].reshape(len(agents), horizon),
+                     actions=action[order].reshape(len(agents), horizon))
+
+
+def _panel_records(path):
+    """Yield ``(line number, fields)`` for each non-blank record after the header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
+def _scan_panel_rows(path):
+    """Parse the records one by one, up to the first one that fails.
+
+    Runs only when ``np.loadtxt`` refused the body or did not find four
+    columns in it.  Returns the rows
+    before the failing record and the error naming its line (or None),
+    so that an earlier bad row is still reported first.  It also accepts
+    what ``int`` accepts beyond ``loadtxt``, such as ``1_0``.
+    """
+    rows, error = [], None
+    for lineno, row in _panel_records(path):
+        if len(row) != 4:
+            error = InvalidInputError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            break
+        try:
+            values = [int(v) for v in row]
+        except ValueError:
+            error = InvalidInputError(f"line {lineno}: fields must be integers")
+            break
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in values):
+            error = InvalidInputError(f"line {lineno}: fields must be integers in the int64 range")
+            break
+        rows.append(values)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), error
 
 
 def estimation_config_from_dict(data: dict):

@@ -288,4 +288,7 @@ class TestCheckCommand:
         hfile.write_text(json.dumps(document))
         code = main(["check", "--model", str(path), "--macro", str(hfile)])
         assert code == 2
-        assert "macro_transitions" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "macro_transitions" in err
+        if "macro_transitions" not in document:
+            assert "no 'macro_transitions' key" in err

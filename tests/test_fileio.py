@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from numpy.testing import assert_array_equal
 
 from hyperdisc import InvalidInputError, PanelData, simulate_panel, solve_backward
 from hyperdisc.fileio import (
+    _WRITE_BLOCK_ROWS,
     estimation_config_from_dict,
     load_model,
     mc_config_from_dict,
@@ -16,6 +20,18 @@ from hyperdisc.fileio import (
     write_panel_csv,
 )
 from conftest import make_random_model
+
+HEADER = "agent,period,state,action\n"
+
+
+def _write_panel_rows(panel, path):
+    """Reference writer: one csv.writer row per (agent, period) cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["agent", "period", "state", "action"])
+        for n in range(panel.n_agents):
+            for t in range(panel.horizon):
+                writer.writerow([n, t + 1, panel.states[n, t], panel.actions[n, t]])
 
 
 class TestModelDocument:
@@ -91,6 +107,71 @@ class TestPanelCsv:
         path = tmp_path / "bad.csv"
         path.write_text("agent,period,state,action\n0,1,0,0\n0,1,1,0\n")
         with pytest.raises(InvalidInputError, match="duplicate"):
+            read_panel_csv(path)
+
+    def test_writer_spans_blocks(self, tmp_path):
+        # more rows than two write blocks, with a partial block at the end
+        horizon = 7
+        n_agents = 2 * _WRITE_BLOCK_ROWS // horizon + 3
+        rng = np.random.default_rng(5)
+        panel = PanelData(states=rng.integers(0, 12, size=(n_agents, horizon)),
+                          actions=rng.integers(0, 3, size=(n_agents, horizon)))
+        assert panel.states.size % _WRITE_BLOCK_ROWS != 0
+        write_panel_csv(panel, tmp_path / "blocks.csv")
+        _write_panel_rows(panel, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("agent,period,state,action\r\n0,1,2,0\r\n0,2,1,1\r\n",
+                     ([[2, 1]], [[0, 1]]), id="crlf"),
+        pytest.param(HEADER + '"0",1,2,0\n0,"2",1,"1"\n', ([[2, 1]], [[0, 1]]), id="quoted"),
+        pytest.param(HEADER + "0,1,2,0\n\n0,2,1,1\n", ([[2, 1]], [[0, 1]]), id="blank-line"),
+        pytest.param(HEADER + "7,2,1,0\n-3,1,0,1\n7,1,2,1\n-3,2,3,0\n",
+                     ([[0, 3], [2, 1]], [[1, 0], [1, 0]]), id="shuffled-sparse-ids"),
+        pytest.param(HEADER + "1_0,1,2,0\n 10,2,1,+1\n", ([[2, 1]], [[0, 1]]),
+                     id="int-syntax"),
+        pytest.param(HEADER + "0,1,2,0\n\n0,0,1,1\n", "line 4: index out of range",
+                     id="blank-line-before-bad-row"),
+        pytest.param(HEADER, "panel file contains no records", id="header-only"),
+        pytest.param(HEADER + "\n\n", "panel file contains no records", id="blank-body"),
+        pytest.param(HEADER + "0,1,2,0\n0,2,1\n", "line 3: expected 4 fields, got 3",
+                     id="three-fields"),
+        pytest.param(HEADER + "0,1,2\n0,2,1\n", "line 2: expected 4 fields, got 3",
+                     id="three-fields-every-row"),
+        pytest.param(HEADER + "0,1,2,0,0\n0,2,1,1,0\n", "line 2: expected 4 fields, got 5",
+                     id="five-fields"),
+        pytest.param(HEADER + "0,1,2,0\n   \n0,2,1,1\n", "line 3: expected 4 fields, got 1",
+                     id="whitespace-line"),
+        pytest.param(HEADER + "# comment\n0,1,2,0\n", "line 2: expected 4 fields, got 1",
+                     id="hash-line"),
+        pytest.param(HEADER + "0,1,2,0\n#0,2,1,1\n", "line 3: fields must be integers",
+                     id="hash-field"),
+        pytest.param(HEADER + "0,1,2,0\n1,1,0,0\n0,2,1,1\n1,2,0,0\n\n0,1,2,0\n",
+                     "line 7: duplicate record for agent 0, period 1", id="late-duplicate"),
+        pytest.param(HEADER + "0,1,-2,0\n0,2,x,1\n", "line 2: index out of range",
+                     id="bad-row-before-unparsable-row"),
+        pytest.param(HEADER + "5,1,2,0\n5,2,1,1\n4,1,0,0\n",
+                     "agent 4 does not cover periods 1..2; unbalanced panels are rejected",
+                     id="first-short-agent"),
+    ])
+    def test_reader_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(InvalidInputError, match=f"^{re.escape(expected)}$"):
+                    read_panel_csv(path)
+                return
+            panel = read_panel_csv(path)
+        assert_array_equal(panel.states, expected[0])
+        assert_array_equal(panel.actions, expected[1])
+
+    def test_values_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(HEADER + "0,1,2,0\n\n9223372036854775808,1,1,1\n")
+        with pytest.raises(InvalidInputError,
+                           match="^line 4: fields must be integers in the int64 range$"):
             read_panel_csv(path)
 
 
