@@ -75,6 +75,13 @@ def _resolve_seed(arg_seed):
     return 0
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on, not all of the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _manifest(subcommand, config, inputs, outputs, seed, started):
     return {
         "subcommand": subcommand,
@@ -205,7 +212,7 @@ def cmd_montecarlo(args) -> int:
     if args.jobs is not None:
         overrides["n_jobs"] = args.jobs
     elif "jobs" not in raw:
-        overrides["n_jobs"] = os.cpu_count() or 1
+        overrides["n_jobs"] = _available_cpus()
     if args.seed is not None:
         overrides["base_seed"] = _resolve_seed(args.seed)
     if overrides:

@@ -6,13 +6,15 @@ maximizing; the two procedures are identical in distribution, and the
 direct draw sidesteps any shock-location convention.  Every agent owns
 an independent random stream derived from ``(base_seed, agent_id)``
 through the splitmix64-based mixer below, so panels are reproducible
-byte for byte and independent of any parallel scheduling.  Only the
-uniforms are drawn agent by agent; the walk itself moves every agent
-one period at a time with whole-array inverse-CDF steps.
+byte for byte and independent of any parallel scheduling.  The
+uniforms of all agents' streams come from one whole-array run of
+NumPy's SeedSequence and PCG64, and the walk moves every agent one
+period at a time with whole-array inverse-CDF steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +23,22 @@ from .exceptions import InvalidInputError
 from .model import ModelSpec, ValueSolution
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_SPLITMIX = (_U64(0x9E3779B97F4A7C15), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB))
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of every entry of a uint64 array (products wrap mod 2**64)."""
+    golden, mult1, mult2 = _SPLITMIX
+    z = z + golden
+    z = (z ^ (z >> _U64(30))) * mult1
+    z = (z ^ (z >> _U64(27))) * mult2
+    return z ^ (z >> _U64(31))
+
+
+def _seed_array(value: int) -> np.ndarray:
+    return np.array([int(value) & _MASK64], dtype=np.uint64)
 
 
 def derive_seed(base_seed: int, *components: int) -> int:
@@ -41,10 +48,113 @@ def derive_seed(base_seed: int, *components: int) -> int:
     splitmix64, so distinct component tuples give independent-looking
     streams while identical tuples always reproduce the same one.
     """
-    state = _splitmix64(int(base_seed) & _MASK64)
+    state = _splitmix64(_seed_array(base_seed))
     for c in components:
-        state = _splitmix64(state ^ (int(c) & _MASK64))
-    return state
+        state = _splitmix64(state ^ _seed_array(c))
+    return int(state[0])
+
+
+def _agent_seeds(base_seed: int, n_agents: int) -> np.ndarray:
+    """``derive_seed(base_seed, n)`` for every n < n_agents, as one uint64 array."""
+    return _splitmix64(_seed_array(derive_seed(base_seed))
+                       ^ np.arange(n_agents, dtype=np.uint64))
+
+
+# NumPy's SeedSequence (pool size 4, 32-bit words) and its hash constants.
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """The (xor, multiplier) pair of each successive hashmix call."""
+    pairs = []
+    for _ in range(count):
+        nxt = (init * mult) & 0xFFFFFFFF
+        pairs.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return pairs
+
+
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12)   # mix_entropy
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)       # generate_state
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+# PCG64 (XSL-RR 128/64): 128-bit integers are (high, low) uint64 pairs.
+_PCG_MULT_HI = _U64(2549297995355413924)
+_PCG_MULT_LO = _U64(4865540595714422341)
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> _U64(32)
+    b0, b1 = b & _MASK32, b >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    low = lo + add_lo
+    return hi + add_hi + (low < lo).astype(np.uint64), low
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc, modulo 2**128."""
+    prod_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> list:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed, as four arrays."""
+    # entropy words [lo32, hi32]; NumPy keeps one word for an entropy
+    # below 2**32, but the pool pads it with hashmix(0) all the same
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> _U64(32)).astype(np.uint32),
+             zero, zero]
+    hashes = iter(_POOL_HASH)
+    pool = [_hashmix(word, next(hashes)) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+    # eight 32-bit words, paired little-endian
+    state = [_hashmix(pool[i % 4], _STATE_HASH[i]).astype(np.uint64) for i in range(8)]
+    return [state[2 * k] | (state[2 * k + 1] << _U64(32)) for k in range(4)]
+
+
+def _default_rng_uniforms(seeds: np.ndarray, length: int) -> np.ndarray:
+    """Row ``n`` is ``np.random.default_rng(int(seeds[n])).random(length)``.
+
+    Runs NumPy's SeedSequence and PCG64 for every seed at once, in
+    uint32 and uint64 whole-array arithmetic that wraps like theirs;
+    docs/FORMATS.md spells out the stream.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_words(np.asarray(seeds, dtype=np.uint64))
+    # PCG64 seeding: inc = (initseq << 1) | 1; state = 0, step (which
+    # leaves inc), state += initstate, step
+    inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+    inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((length, len(inc_lo)))
+    for row in out:
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        value, rot = hi ^ lo, hi >> _U64(58)
+        value = (value >> rot) | (value << ((_U64(64) - rot) & _U64(63)))
+        np.multiply(value >> _U64(11), 2.0 ** -53, out=row)
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -135,9 +245,9 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
 
     All ``1 + 2T`` uniforms of every agent are drawn first into one
     (N, 1 + 2T) float array, 8(1 + 2T) bytes per agent, about the size
-    of the returned panel.  The walk then moves all agents together, one
-    period at a time, so Python loops over agents only to fill that
-    array.
+    of the returned panel, by running every agent's stream at once.  The
+    walk then moves all agents together, one period at a time; nothing
+    loops over agents.
     """
     J, K, T = model.num_states, model.num_actions, model.horizon
     if solution.V.shape != (T, J) or solution.P.shape != (T, K, J):
@@ -155,9 +265,7 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
     cum_p = np.cumsum(solution.P, axis=1)      # over actions
     cum_f = np.cumsum(model.transitions, axis=2)  # over next states
 
-    u = np.empty((n_agents, 1 + 2 * T))
-    for n in range(n_agents):
-        u[n] = np.random.default_rng(derive_seed(seed, n)).random(1 + 2 * T)
+    u = _default_rng_uniforms(_agent_seeds(seed, n_agents), 1 + 2 * T)
     # inverse CDF on a non-decreasing c: count(c <= u) is
     # searchsorted(c, u, side="right"); the min guards rounding at the top
     states = np.empty((n_agents, T), dtype=np.int64)
@@ -182,6 +290,19 @@ def _check_panel_ranges(panel: PanelData, num_states: int, num_actions: int):
         )
 
 
+def _count_cells(shape, *indices) -> np.ndarray:
+    """int64 occurrences of each cell of a ``shape`` array.
+
+    ``indices`` holds one in-range index array per axis; they broadcast
+    together and every broadcast element is one occurrence.
+    """
+    flat = indices[0]
+    for size, index in zip(shape[1:], indices[1:]):
+        flat = flat * size + index
+    counts = np.bincount(np.ravel(flat), minlength=math.prod(shape))
+    return counts.astype(np.int64, copy=False).reshape(shape)
+
+
 def empirical_ccps(panel: PanelData, num_states: int, num_actions: int,
                    horizon: int | None = None) -> CcpEstimate:
     """Sample choice frequencies per (period, action, state) cell."""
@@ -189,9 +310,8 @@ def empirical_ccps(panel: PanelData, num_states: int, num_actions: int,
     T = panel.horizon if horizon is None else int(horizon)
     if T != panel.horizon:
         raise InvalidInputError(f"panel has {panel.horizon} periods, expected {T}")
-    counts = np.zeros((T, num_actions, num_states), dtype=np.int64)
-    t_idx = np.broadcast_to(np.arange(T), panel.states.shape)
-    np.add.at(counts, (t_idx.ravel(), panel.actions.ravel(), panel.states.ravel()), 1)
+    counts = _count_cells((T, num_actions, num_states),
+                          np.arange(T), panel.actions, panel.states)
     state_totals = counts.sum(axis=1)          # (T, J)
     visited = state_totals > 0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -211,11 +331,8 @@ def estimate_transitions(panel: PanelData, num_states: int,
     _check_panel_ranges(panel, num_states, num_actions)
     if panel.horizon < 2:
         raise InvalidInputError("estimating transitions needs at least 2 periods")
-    counts = np.zeros((num_actions, num_states, num_states), dtype=np.int64)
-    a = panel.actions[:, :-1].ravel()
-    x = panel.states[:, :-1].ravel()
-    x_next = panel.states[:, 1:].ravel()
-    np.add.at(counts, (a, x, x_next), 1)
+    counts = _count_cells((num_actions, num_states, num_states),
+                          panel.actions[:, :-1], panel.states[:, :-1], panel.states[:, 1:])
     row_totals = counts.sum(axis=2)            # (K, J)
     visited = row_totals > 0
     f_hat = np.full((num_actions, num_states, num_states), 1.0 / num_states)

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from hyperdisc import cli
 from hyperdisc.cli import main
 from hyperdisc.fileio import load_json, save_model
 from hyperdisc.montecarlo import design_model, McConfig
@@ -238,6 +240,26 @@ class TestMontecarloCommand:
         assert rows[0] == "parameter,sample_size,mean,sd,n_success,n_failure"
         assert len(rows) == 1 + 4
         assert (out_dir / "estimates.csv").exists()
+
+    def test_default_jobs_counts_the_cpus_the_process_may_use(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps({
+            "num_states": 3, "horizon": 6, "alpha0": 0.5, "alpha1": -0.2,
+            "beta": 0.8, "delta": 0.9, "sample_sizes": [150],
+            "replications": 1, "base_seed": 3,
+        }))
+        out_dir = tmp_path / "mc"
+        assert main(["montecarlo", "--config", str(config_path),
+                     "--out", str(out_dir)]) == 0
+        assert load_json(out_dir / "manifest.json")["config"]["n_jobs"] == 1
+
+    def test_default_jobs_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._available_cpus() == 1
 
 
 class TestCheckCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,6 +16,7 @@ from hyperdisc import (
     simulate_panel,
     solve_backward,
 )
+from hyperdisc.simulation import _agent_seeds, _default_rng_uniforms
 from conftest import canonical_design, make_random_model
 
 
@@ -49,6 +52,45 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         for value in (derive_seed(0), derive_seed(2**63, 5), derive_seed(-1, 7)):
             assert 0 <= value < 2**64
+
+
+class TestWholeArrayStreams:
+    @pytest.mark.parametrize("length", [1, 33])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_uniforms_match_default_rng(self, seed, length):
+        got = _default_rng_uniforms(np.array([seed], dtype=np.uint64), length)
+        assert_array_equal(got[0], np.random.default_rng(seed).random(length))
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64 - 1, 2**70])
+    def test_agent_seeds_match_derive_seed(self, base_seed):
+        seeds = _agent_seeds(base_seed, 1000)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [derive_seed(base_seed, n) for n in range(1000)]
+
+    @pytest.mark.parametrize("n_agents", [1, 3])
+    def test_no_overflow_warning_escapes(self, n_agents):
+        model = make_random_model(7)
+        sol = solve_backward(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            panel = simulate_panel(model, sol, n_agents, seed=2**64 - 1)
+            derive_seed(2**64 - 1, 2**64 - 1)
+        states, actions = per_agent_reference(model, sol, n_agents, seed=2**64 - 1)
+        assert_array_equal(panel.states, states)
+        assert_array_equal(panel.actions, actions)
+
+    def test_simulate_panel_builds_no_generator(self, monkeypatch):
+        model = make_random_model(8)
+        sol = solve_backward(model)
+        states, actions = per_agent_reference(model, sol, 40, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_panel must not build a generator per agent")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        panel = simulate_panel(model, sol, 40, seed=5)
+        assert_array_equal(panel.states, states)
+        assert_array_equal(panel.actions, actions)
 
 
 def per_agent_reference(model, solution, n_agents, initial_dist=None, seed=0):
@@ -257,6 +299,49 @@ class TestEmpiricalCcps:
         actions = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(InvalidInputError):
             empirical_ccps(PanelData(states=states, actions=actions), 3, 2)
+
+
+def _loop_ccp_counts(panel, J, K):
+    counts = np.zeros((panel.horizon, K, J), dtype=np.int64)
+    for n in range(panel.n_agents):
+        for t in range(panel.horizon):
+            counts[t, panel.actions[n, t], panel.states[n, t]] += 1
+    return counts
+
+
+def _loop_transition_counts(panel, J, K):
+    counts = np.zeros((K, J, J), dtype=np.int64)
+    for n in range(panel.n_agents):
+        for t in range(panel.horizon - 1):
+            counts[panel.actions[n, t], panel.states[n, t], panel.states[n, t + 1]] += 1
+    return counts
+
+
+class TestCountsMatchPlainLoops:
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    def test_three_actions_with_unvisited_cells(self, horizon):
+        # states 0..4 of J = 6 and actions 0..2 of K = 3: state 5 is never seen
+        rng = np.random.default_rng(horizon)
+        panel = PanelData(states=rng.integers(0, 5, (9, horizon)),
+                          actions=rng.integers(0, 3, (9, horizon)))
+        ccps = empirical_ccps(panel, 6, 3)
+        assert ccps.counts.dtype == np.int64
+        assert_array_equal(ccps.counts, _loop_ccp_counts(panel, 6, 3))
+        assert not ccps.visited[:, 5].any()
+        if horizon > 1:
+            trans = estimate_transitions(panel, 6, 3)
+            assert trans.counts.dtype == np.int64
+            assert_array_equal(trans.counts, _loop_transition_counts(panel, 6, 3))
+            assert not trans.visited[:, 5].any()
+
+    def test_simulated_panel(self):
+        model = make_random_model(9, num_actions=3)
+        sol = solve_backward(model)
+        panel = simulate_panel(model, sol, 200, seed=4)
+        J, K = model.num_states, model.num_actions
+        assert_array_equal(empirical_ccps(panel, J, K).counts, _loop_ccp_counts(panel, J, K))
+        assert_array_equal(estimate_transitions(panel, J, K).counts,
+                           _loop_transition_counts(panel, J, K))
 
 
 class TestEstimateTransitions:
