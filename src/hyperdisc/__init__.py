@@ -55,9 +55,7 @@ from .estimation import (
     MleResult,
     UtilitySpec,
     fit_mle,
-    inverse_transform_params,
     log_likelihood,
-    transform_params,
 )
 from .montecarlo import (
     McConfig,

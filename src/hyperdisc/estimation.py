@@ -8,15 +8,18 @@ factors, maximize the choice block
     sum_n sum_t log P_t(a_nt | x_nt)
 
 with backward induction nested inside every objective evaluation.  Log
-CCPs come straight out of the recursion as ``W - logsumexp(W)``, so no
-probability is exponentiated and re-logged on the way to the objective.
+CCPs come straight out of the recursion as ``(W - m) - log(sum exp(W -
+m))``, so no probability is exponentiated and re-logged on the way to
+the objective.  The same recursion carries the forward-mode derivatives
+of the log CCPs, which gives the exact score at once.
 
-Both discount factors are optimized through a logistic transform, which
-keeps them strictly interior; utility coefficients enter untransformed.
-Each configured start runs an independent derivative-free local search
-(Nelder-Mead), declared converged when the simplex spread in parameters
-and in objective values falls below the configured tolerances, and the
-best final point over all starts is reported.
+The search runs on the natural parameters ``(theta_u, beta, delta)``
+with L-BFGS-B and the exact gradient, inside a box: utility
+coefficients are free, ``beta`` lies in ``[DISCOUNT_FLOOR, 1]`` and
+``delta`` in ``[DISCOUNT_FLOOR, nextafter(1, 0)]``.  So ``beta = 1``
+(exponential discounting) can be reached, and an estimate on an edge of
+the box is reported as such.  Each configured start runs an independent
+local search, and the best final point over all starts is reported.
 """
 
 from __future__ import annotations
@@ -24,14 +27,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from .exceptions import InvalidInputError, NonConvergenceError
 from .model import _backward_core
 from .simulation import PanelData, TransitionEstimate, empirical_ccps
 
-_OPEN_LO = np.nextafter(0.0, 1.0)
-_OPEN_HI = np.nextafter(1.0, 0.0)
+# Lower edge of both discount factors in the search box; it must be
+# above 0, where the model is undefined.  On the edge beta = floor the
+# choices depend on delta only through beta * delta <= floor (and the
+# same holds with the roles swapped), so the slope along that edge is
+# the floor times the slope in beta * delta.  At 1e-4, four orders of
+# magnitude above the default gradient tolerance, a search that reaches
+# the edge keeps moving along it to where that slope vanishes, often the
+# (floor, floor) corner, instead of stopping wherever it arrived; at
+# 1e-8 the slope falls below the tolerance and the unidentified factor
+# is left at an arbitrary value.
+DISCOUNT_FLOOR = 1e-4
+_DELTA_HI = np.nextafter(1.0, 0.0)
 
 LINEAR_IN_STATE = "linear_in_state"
 FREE_TABLE = "free_table"
@@ -109,31 +122,6 @@ class UtilitySpec:
         return [f"u_{i}_{x}" for i in free_actions for x in range(self.num_states)]
 
 
-def transform_params(raw, n_theta: int):
-    """Map an unconstrained vector to ``(theta_u, beta, delta)``.
-
-    The last two entries pass through the logistic function (so the
-    discount factors stay strictly inside (0, 1) even after floating
-    point rounding); the leading ``n_theta`` entries are returned as is.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (n_theta + 2,):
-        raise InvalidInputError(f"raw vector must have {n_theta + 2} entries")
-    beta = float(np.clip(special.expit(raw[n_theta]), _OPEN_LO, _OPEN_HI))
-    delta = float(np.clip(special.expit(raw[n_theta + 1]), _OPEN_LO, _OPEN_HI))
-    return raw[:n_theta].copy(), beta, delta
-
-
-def inverse_transform_params(theta_u, beta: float, delta: float):
-    """Inverse of ``transform_params``; rejects boundary values 0 and 1."""
-    if not (0.0 < beta < 1.0) or not (0.0 < delta < 1.0):
-        raise InvalidInputError(
-            "inverse transform needs beta and delta strictly inside (0, 1)"
-        )
-    theta = np.asarray(theta_u, dtype=float)
-    return np.concatenate([theta, [special.logit(beta), special.logit(delta)]])
-
-
 def _resolve_transitions(transitions) -> np.ndarray:
     f = transitions.f_hat if isinstance(transitions, TransitionEstimate) else transitions
     f = np.asarray(f, dtype=float)
@@ -142,11 +130,19 @@ def _resolve_transitions(transitions) -> np.ndarray:
     return f
 
 
-def _choice_loglik(counts, utility, transitions, beta, delta):
+def _choice_loglik(counts, utility, transitions, beta, delta, dutility=None):
     """The choice block ``sum_n sum_t log P_t(a_nt | x_nt)`` from the
-    (T, K, J) observation counts, its sufficient statistic."""
-    _, _, logp = _backward_core(utility, transitions, beta, delta, counts.shape[0])
-    return float((counts * logp).sum())
+    (T, K, J) observation counts, its sufficient statistic.
+
+    With ``dutility`` (the (p, K, J) Jacobian of the payoff table) it
+    returns ``(loglik, score)``, the score being the exact gradient in
+    ``(theta_u, beta, delta)``: ``sum counts * dlogP``.
+    """
+    out = _backward_core(utility, transitions, beta, delta, counts.shape[0], dutility)
+    loglik = float((counts * out[2]).sum())
+    if dutility is None:
+        return loglik
+    return loglik, np.tensordot(out[3], counts, axes=([0, 2, 3], [0, 1, 2]))
 
 
 def log_likelihood(panel: PanelData, utility_spec: UtilitySpec, theta_u,
@@ -174,17 +170,34 @@ class MleConfig:
 
     By default the starts form a grid: utility parameters at
     ``theta_start_scale`` times ``theta_ref`` crossed with every
-    combination of ``beta_starts`` and ``delta_starts``.  Explicit
-    ``starts`` (a sequence of ``(theta_u, beta, delta)`` triples)
-    override the grid.  ``fixed_parameters`` may pin ``beta`` or
-    ``delta`` (for example ``{"beta": 1.0}`` for plain exponential
-    discounting); fixed values bypass the logistic transform.
+    combination of ``beta_starts`` and ``delta_starts``, ``beta``
+    varying slowest.  The last value of each default grid lies near an
+    edge: ``beta = 0.01`` is strong present bias, ``delta = 0.999`` near
+    full patience.  Where the data put ``beta * delta`` near 0, the
+    likelihood can have one local maximum at a small ``beta`` with
+    ``delta`` near 1 and another at ``beta = 1`` or on the floor;
+    searches from the interior starts lower both factors together and
+    can miss the first, which the search from ``(0.01, 0.999)`` reaches.
+
+    Explicit ``starts`` (a sequence of ``(theta_u, beta, delta)``
+    triples) override the grid.  ``fixed_parameters`` may pin ``beta``
+    or ``delta`` (for example ``{"beta": 1.0}`` for plain exponential
+    discounting); a fixed value becomes equal lower and upper bounds,
+    which takes it out of the search.
+
+    L-BFGS-B stops when the largest entry of the projected score is at
+    most ``param_tol`` (its ``gtol``), or when a step raises the log
+    likelihood by at most ``objective_tol`` times the mean negative log
+    likelihood per observation (``ftol = objective_tol / number of
+    observations``, as L-BFGS-B's test is relative to the objective's
+    size).  It takes at most ``max_iterations`` iterations and
+    ``2 * max_iterations`` objective evaluations per start.
     """
 
     theta_ref: tuple = ()
     theta_start_scale: float = 0.95
-    beta_starts: tuple = (0.7, 0.8, 0.9)
-    delta_starts: tuple = (0.7, 0.8, 0.9)
+    beta_starts: tuple = (0.7, 0.8, 0.9, 0.01)
+    delta_starts: tuple = (0.7, 0.8, 0.9, 0.999)
     starts: tuple | None = None
     param_tol: float = 1e-8
     objective_tol: float = 1e-10
@@ -222,7 +235,13 @@ class MleConfig:
 
 @dataclass(frozen=True)
 class StartRecord:
-    """Bookkeeping for one optimizer start."""
+    """Bookkeeping for one optimizer start.
+
+    ``beta_start`` and ``delta_start`` are the start as searched, that
+    is, moved onto the box.  ``converged`` is the optimizer's own
+    success flag; ``at_bound`` names the estimated discount factors
+    (``"beta"``, ``"delta"``) that finish on an edge of the search box.
+    """
 
     index: int
     theta_start: tuple
@@ -233,6 +252,7 @@ class StartRecord:
     iterations: int
     n_evaluations: int
     message: str
+    at_bound: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -247,76 +267,75 @@ class MleResult:
     best_start_index: int
 
 
+def _box(n_theta: int, fixed_parameters: dict):
+    """L-BFGS-B bounds on ``(theta_u, beta, delta)``; a fixed discount
+    factor gets equal lower and upper bounds."""
+    beta = fixed_parameters.get("beta")
+    delta = fixed_parameters.get("delta")
+    return optimize.Bounds(
+        [-np.inf] * n_theta + [DISCOUNT_FLOOR if beta is None else beta,
+                               DISCOUNT_FLOOR if delta is None else delta],
+        [np.inf] * n_theta + [1.0 if beta is None else beta,
+                              _DELTA_HI if delta is None else delta],
+    )
+
+
 def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             config: MleConfig = MleConfig()) -> MleResult:
     """Maximize the choice-block likelihood from every configured start.
 
     Deterministic given the panel and configuration: starts run in a
-    fixed order, each through Nelder-Mead with ``xatol = param_tol`` and
-    ``fatol = objective_tol``, and ties in the final log likelihood are
-    broken by the lowest start index.  Raises ``NonConvergenceError``
-    (carrying all per-start records) only if no start converges.
+    fixed order, each through L-BFGS-B on ``(theta_u, beta, delta)``
+    with the exact score, in the box of ``_box`` and with the stopping
+    rules of ``MleConfig``.  A start outside the box is moved onto it.
+    Ties in the final log likelihood are broken by the lowest start
+    index.  Raises ``NonConvergenceError`` (carrying all per-start
+    records) only if no start converges.
     """
     f = _resolve_transitions(transitions)
     K, J = utility_spec.num_actions, utility_spec.num_states
     counts = empirical_ccps(panel, J, K).counts
     n_theta = utility_spec.n_params
-    fixed_beta = config.fixed_parameters.get("beta")
-    fixed_delta = config.fixed_parameters.get("delta")
+    # build_utility is linear, so its Jacobian is the table of each unit vector
+    dutility = np.stack([utility_spec.build_utility(e) for e in np.eye(n_theta)])
+    box = _box(n_theta, config.fixed_parameters)
+    options = {
+        "gtol": config.param_tol,
+        "ftol": config.objective_tol / max(float(counts.sum()), 1.0),
+        "maxiter": config.max_iterations,
+        "maxfun": 2 * config.max_iterations,
+    }
 
-    def split(raw):
-        theta = raw[:n_theta]
-        pos = n_theta
-        if fixed_beta is None:
-            beta = float(np.clip(special.expit(raw[pos]), _OPEN_LO, _OPEN_HI))
-            pos += 1
-        else:
-            beta = fixed_beta
-        if fixed_delta is None:
-            delta = float(np.clip(special.expit(raw[pos]), _OPEN_LO, _OPEN_HI))
-        else:
-            delta = fixed_delta
-        return theta, beta, delta
-
-    def negloglik(raw):
-        theta, beta, delta = split(raw)
-        return -_choice_loglik(counts, utility_spec.build_utility(theta), f, beta, delta)
-
-    def pack(theta, beta, delta):
-        parts = [np.asarray(theta, dtype=float)]
-        if fixed_beta is None:
-            parts.append([special.logit(beta)])
-        if fixed_delta is None:
-            parts.append([special.logit(delta)])
-        return np.concatenate(parts)
+    def negloglik(x):
+        loglik, score = _choice_loglik(counts, utility_spec.build_utility(x[:n_theta]),
+                                       f, x[n_theta], x[n_theta + 1], dutility)
+        return -loglik, -score
 
     records = []
     finals = []
     for idx, (theta0, b0, d0) in enumerate(config.start_points(n_theta)):
-        res = optimize.minimize(
-            negloglik,
-            pack(theta0, b0, d0),
-            method="Nelder-Mead",
-            options={
-                "xatol": config.param_tol,
-                "fatol": config.objective_tol,
-                "maxiter": config.max_iterations,
-                "maxfev": 2 * config.max_iterations,
-            },
+        x0 = np.clip(np.concatenate([theta0, [b0, d0]]), box.lb, box.ub)
+        res = optimize.minimize(negloglik, x0, jac=True, method="L-BFGS-B",
+                                bounds=box, options=options)
+        theta_hat = res.x[:n_theta].copy()
+        beta_hat, delta_hat = float(res.x[n_theta]), float(res.x[n_theta + 1])
+        at_bound = tuple(
+            nm for i, nm in enumerate(("beta", "delta"), n_theta)
+            if nm not in config.fixed_parameters and res.x[i] in (box.lb[i], box.ub[i])
         )
-        theta_hat, beta_hat, delta_hat = split(res.x)
         records.append(StartRecord(
             index=idx,
             theta_start=tuple(float(v) for v in theta0),
-            beta_start=b0,
-            delta_start=d0,
+            beta_start=float(x0[n_theta]),
+            delta_start=float(x0[n_theta + 1]),
             converged=bool(res.success),
             loglik=-float(res.fun),
             iterations=int(res.nit),
             n_evaluations=int(res.nfev),
             message=str(res.message),
+            at_bound=at_bound,
         ))
-        finals.append((theta_hat.copy(), beta_hat, delta_hat))
+        finals.append((theta_hat, beta_hat, delta_hat))
 
     if not any(r.converged for r in records):
         raise NonConvergenceError(

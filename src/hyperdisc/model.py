@@ -220,13 +220,29 @@ def choice_values(utility, transitions, beta, delta, v_next):
     return u + beta * delta * (f @ v)
 
 
-def _backward_core(utility, transitions, beta, delta, horizon):
+def _backward_core(utility, transitions, beta, delta, horizon, dutility=None):
     """Backward induction kernel shared by the solver and the likelihood.
 
     Returns ``(V, W, logP)``; the caller exponentiates ``logP`` when
     probabilities are needed.  Log CCPs are produced directly as
-    ``W - logsumexp(W)`` so likelihood evaluation never takes the log of
-    an underflowed probability.
+    ``(W - m) - log(sum exp(W - m))`` with ``m`` the column maximum, so
+    likelihood evaluation never takes the log of an underflowed
+    probability and large payoffs lose no absolute precision.
+
+    With ``dutility``, the (p, K, J) derivative of the payoff table with
+    respect to p utility parameters, the same loop also carries the
+    forward-mode derivatives of ``V`` in p + 2 directions (the p
+    parameters, then ``beta``, then ``delta``) and returns
+    ``(V, W, logP, dlogP)`` with ``dlogP`` of shape (T, p + 2, K, J).
+    Per direction, with ``P = exp(logP)`` and ``ev = f @ V_next``:
+
+        dW   = du + d(beta delta) ev + beta delta dev
+        dlse = sum_i P_i dW_i,    dlogP = dW - dlse
+        dV   = dlse + d((1 - beta) delta) sum_i P_i ev_i
+               + (1 - beta) delta sum_i P_i (dlogP_i ev_i + dev_i)
+
+    The value path is the same sequence of operations either way, so
+    ``V``, ``W`` and ``logP`` are bit-identical with or without it.
     """
     K, J = utility.shape
     V = np.empty((horizon, J))
@@ -235,17 +251,42 @@ def _backward_core(utility, transitions, beta, delta, horizon):
     bd = beta * delta
     corr = (1.0 - beta) * delta
     v_next = np.zeros(J)
+    if dutility is not None:
+        p = dutility.shape[0]
+        du = np.zeros((p + 2, K, J))
+        du[:p] = dutility
+        dbd = np.zeros((p + 2, 1, 1))
+        dbd[p:, 0, 0] = delta, beta
+        dcorr = np.zeros((p + 2, 1))
+        dcorr[p:, 0] = -delta, 1.0 - beta
+        f_t = transitions.reshape(K * J, J).T
+        dv_next = np.zeros((p + 2, J))
+        dlogP = np.empty((horizon, p + 2, K, J))
     for t in range(horizon - 1, -1, -1):
         ev = transitions @ v_next
         w = utility + bd * ev
         m = w.max(axis=0)
-        lse = m + np.log(np.exp(w - m).sum(axis=0))
-        lp = w - lse
-        v_next = lse + corr * (np.exp(lp) * ev).sum(axis=0)
+        z = w - m
+        log_s = np.log(np.exp(z).sum(axis=0))
+        lp = z - log_s
+        P = np.exp(lp)
+        Pev = P * ev
+        pev_sum = Pev.sum(axis=0)
+        v_next = (m + log_s) + corr * pev_sum
         V[t] = v_next
         W[t] = w
         logP[t] = lp
-    return V, W, logP
+        if dutility is not None:
+            dev = (dv_next @ f_t).reshape(-1, K, J)
+            dw = du + dbd * ev + bd * dev
+            dlse = (P * dw).sum(axis=1)
+            dlp = dw - dlse[:, None, :]
+            dv_next = (dlse + dcorr * pev_sum
+                       + corr * (Pev * dlp + P * dev).sum(axis=1))
+            dlogP[t] = dlp
+    if dutility is None:
+        return V, W, logP
+    return V, W, logP, dlogP
 
 
 def solve_backward(model: ModelSpec, check=False) -> ValueSolution:

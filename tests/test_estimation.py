@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.optimize import approx_fprime
 
 from hyperdisc import (
     InvalidInputError,
@@ -13,13 +12,12 @@ from hyperdisc import (
     PanelData,
     UtilitySpec,
     fit_mle,
-    inverse_transform_params,
     log_likelihood,
     random_transitions,
     simulate_panel,
     solve_backward,
-    transform_params,
 )
+from hyperdisc.estimation import DISCOUNT_FLOOR, _box, _choice_loglik
 from hyperdisc.simulation import empirical_ccps, estimate_transitions
 from conftest import make_random_model
 
@@ -63,36 +61,148 @@ class TestUtilitySpec:
         assert linear_spec(3).param_names() == ["alpha0_0", "alpha1_0"]
 
 
-class TestParamTransform:
-    def test_zero_maps_to_half(self):
-        _, beta, delta = transform_params(np.zeros(2), 0)
-        assert beta == pytest.approx(0.5, abs=1e-15)
-        assert delta == pytest.approx(0.5, abs=1e-15)
+class TestSearchBox:
+    def test_edges(self):
+        box = _box(2, {})
+        assert 0.0 < DISCOUNT_FLOOR <= 1e-4
+        assert_array_equal(box.lb, [-np.inf, -np.inf, DISCOUNT_FLOOR, DISCOUNT_FLOOR])
+        assert_array_equal(box.ub, [np.inf, np.inf, 1.0, np.nextafter(1.0, 0.0)])
 
-    @pytest.mark.parametrize("value", [0.05, 0.3, 0.85, 0.999])
-    def test_round_trip(self, value):
-        raw = inverse_transform_params([1.5, -0.2], value, value)
-        theta, beta, delta = transform_params(raw, 2)
-        assert_allclose(theta, [1.5, -0.2], rtol=0, atol=1e-15)
-        assert beta == pytest.approx(value, abs=1e-12)
-        assert delta == pytest.approx(value, abs=1e-12)
+    @pytest.mark.parametrize("fixed", [{"beta": 1.0}, {"delta": 0.75},
+                                       {"beta": 0.6, "delta": 0.9}])
+    def test_fixed_parameters_become_equal_bounds(self, fixed):
+        box = _box(3, fixed)
+        for i, name in ((3, "beta"), (4, "delta")):
+            if name in fixed:
+                assert box.lb[i] == box.ub[i] == fixed[name]
+            else:
+                assert box.lb[i] == DISCOUNT_FLOOR
 
-    def test_monotone(self):
-        raws = np.linspace(-5, 5, 21)
-        betas = [transform_params(np.array([r, 0.0]), 0)[1] for r in raws]
-        assert all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
+    def test_likelihood_finite_at_every_corner(self):
+        model = make_random_model(13, num_states=4, horizon=6)
+        panel = simulate_panel(model, solve_backward(model), 50, seed=1)
+        spec = linear_spec(num_states=4)
+        box = _box(spec.n_params, {})
+        for beta in (box.lb[2], box.ub[2]):
+            for delta in (box.lb[3], box.ub[3]):
+                value = log_likelihood(panel, spec, [0.3, -0.1], beta, delta,
+                                       model.transitions)
+                assert np.isfinite(value)
 
-    def test_open_interval_enforced(self):
-        theta, beta, delta = transform_params(np.array([800.0, -800.0]), 0)
-        assert 0.0 < beta < 1.0
-        assert 0.0 < delta < 1.0
+    @pytest.mark.parametrize("beta0,delta0", [(1.5, 0.8), (0.8, 1.0), (-0.2, 0.0),
+                                              (1.0, np.nextafter(1.0, 0.0))])
+    def test_starts_on_or_outside_the_box(self, beta0, delta0):
+        # natural parameters need no inverse transform: a start on an
+        # edge is accepted, one outside is moved onto the box
+        _, panel, spec, f_hat = TestFitMle().make_problem(seed=6, n_agents=200)
+        config = MleConfig(starts=((np.array([0.5, -0.2]), beta0, delta0),))
+        result = fit_mle(panel, spec, f_hat, config)
+        record = result.per_start[0]
+        assert record.converged
+        # the record holds the start as searched, moved onto the box
+        assert record.beta_start == min(max(beta0, DISCOUNT_FLOOR), 1.0)
+        assert record.delta_start == min(max(delta0, DISCOUNT_FLOOR),
+                                         np.nextafter(1.0, 0.0))
+        assert DISCOUNT_FLOOR <= result.beta_hat <= 1.0
+        assert DISCOUNT_FLOOR <= result.delta_hat < 1.0
+        assert result.loglik == log_likelihood(panel, spec, result.theta_u_hat,
+                                               result.beta_hat, result.delta_hat, f_hat)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0])
-    def test_inverse_rejects_boundary(self, bad):
-        with pytest.raises(InvalidInputError):
-            inverse_transform_params([], bad, 0.5)
-        with pytest.raises(InvalidInputError):
-            inverse_transform_params([], 0.5, bad)
+    def test_search_moves_along_the_floor_edge(self, monkeypatch):
+        # nearly myopic data (beta * delta = 0.045): every start reaches a
+        # floor edge, where the other factor is not identified, and moves
+        # along it to the (floor, floor) corner.  With a floor of 1e-8 the
+        # slope along the edge is below the gradient tolerance and the
+        # searches stop at scattered points of the edges.
+        _, panel, spec, f_hat = TestFitMle().make_problem(seed=1, n_agents=300,
+                                                          beta=0.05, delta=0.9)
+        config = MleConfig(theta_ref=(0.6, -0.25))
+        result = fit_mle(panel, spec, f_hat, config)
+        assert result.beta_hat == result.delta_hat == DISCOUNT_FLOOR
+        assert all(r.at_bound == ("beta", "delta") for r in result.per_start)
+        monkeypatch.setattr("hyperdisc.estimation.DISCOUNT_FLOOR", 1e-8)
+        low = fit_mle(panel, spec, f_hat, config)
+        assert sum(r.at_bound == ("beta", "delta") for r in low.per_start) < 3
+
+    def test_at_bound_names_the_discount_factors_on_an_edge(self):
+        for seed in range(4):
+            _, panel, spec, f_hat = TestFitMle().make_problem(seed=seed, n_agents=300)
+            result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+            for record in result.per_start:
+                assert set(record.at_bound) <= {"beta", "delta"}
+            best = result.per_start[result.best_start_index].at_bound
+            assert ("beta" in best) == (result.beta_hat in (DISCOUNT_FLOOR, 1.0))
+            assert ("delta" in best) == (result.delta_hat in (
+                DISCOUNT_FLOOR, np.nextafter(1.0, 0.0)))
+
+
+def _exact_score(panel, spec, theta, beta, delta, transitions):
+    counts = empirical_ccps(panel, spec.num_states, spec.num_actions).counts
+    dutility = np.stack([spec.build_utility(e) for e in np.eye(spec.n_params)])
+    return _choice_loglik(counts, spec.build_utility(theta),
+                          transitions.f_hat, beta, delta, dutility)
+
+
+def _numeric_score(panel, spec, x, transitions, step=1e-5, one_sided=()):
+    """Central differences of ``log_likelihood`` in (theta_u, beta, delta);
+    second-order backward differences in the coordinates ``one_sided``."""
+    def objective(y):
+        return log_likelihood(panel, spec, y[:-2], y[-2], y[-1], transitions)
+
+    grad = []
+    for i, e in enumerate(np.eye(x.size) * step):
+        if i in one_sided:
+            grad.append((3 * objective(x) - 4 * objective(x - e)
+                         + objective(x - 2 * e)) / (2 * step))
+        else:
+            grad.append((objective(x + e) - objective(x - e)) / (2 * step))
+    return np.array(grad)
+
+
+def _score_problem(seed, num_states, num_actions, n_agents=400):
+    model = make_random_model(seed, num_states=num_states,
+                              num_actions=num_actions, horizon=6)
+    panel = simulate_panel(model, solve_backward(model), n_agents, seed=seed)
+    return panel, estimate_transitions(panel, num_states, num_actions)
+
+
+def _check_score(panel, spec, x, f_hat, one_sided=()):
+    loglik, score = _exact_score(panel, spec, x[:-2], x[-2], x[-1], f_hat)
+    assert loglik == log_likelihood(panel, spec, x[:-2], x[-2], x[-1], f_hat)
+    numeric = _numeric_score(panel, spec, x, f_hat, one_sided=one_sided)
+    # rounding in the differences is about eps * |loglik| / step, near 1e-7
+    assert_allclose(score, numeric, rtol=0, atol=1e-8 * np.abs(numeric).max() + 1e-6)
+
+
+class TestExactScore:
+    def test_free_table_three_states(self):
+        panel, f_hat = _score_problem(14, num_states=3, num_actions=3)
+        spec = UtilitySpec(form="free_table", num_actions=3, num_states=3)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = np.concatenate([rng.normal(size=spec.n_params),
+                                rng.uniform(0.2, 0.95, 2)])
+            _check_score(panel, spec, x, f_hat)
+
+    def test_one_sided_at_beta_one(self):
+        panel, f_hat = _score_problem(15, num_states=3, num_actions=2)
+        spec = linear_spec(num_states=3)
+        x = np.array([0.4, -0.3, 1.0, 0.85])
+        _check_score(panel, spec, x, f_hat, one_sided=(2,))
+
+    def test_fixed_parameter_fit(self):
+        # with beta fixed the search covers (theta_u, delta); the score's
+        # free entries agree with the differences and vanish at the optimum
+        _, panel, spec, f_hat = TestFitMle().make_problem(seed=0, n_agents=800)
+        config = MleConfig(theta_ref=(0.6, -0.25), fixed_parameters={"beta": 0.8})
+        result = fit_mle(panel, spec, f_hat, config)
+        assert result.beta_hat == 0.8
+        assert all(r.at_bound == () for r in result.per_start)
+        x = np.concatenate([result.theta_u_hat, [result.beta_hat, result.delta_hat]])
+        _, score = _exact_score(panel, spec, x[:2], x[2], x[3], f_hat)
+        _check_score(panel, spec, x, f_hat)
+        free = score[[0, 1, 3]]
+        assert np.abs(free).max() < 1e-3, free
 
 
 class TestLogLikelihood:
@@ -201,33 +311,15 @@ class TestLogLikelihood:
         assert np.isfinite(value)
 
     def test_gradient_is_smooth_and_consistent(self):
-        # forward differences (what a quasi-Newton optimizer would use)
+        # the exact score on the natural parameters (theta_u, beta, delta)
         # against central differences at random interior points
-        model = make_random_model(12, num_states=4, horizon=6)
-        sol = solve_backward(model)
-        panel = simulate_panel(model, sol, 400, seed=5)
-        spec = UtilitySpec(form="linear_in_state", num_actions=2,
-                           num_states=model.num_states)
-        f_hat = estimate_transitions(panel, model.num_states, model.num_actions)
-
-        def objective(raw):
-            theta, beta, delta = transform_params(raw, spec.n_params)
-            return log_likelihood(panel, spec, theta, beta, delta, f_hat)
-
+        panel, f_hat = _score_problem(12, num_states=4, num_actions=2)
+        spec = linear_spec(num_states=4)
         rng = np.random.default_rng(6)
-        step = 1e-6
         for _ in range(10):
-            raw = np.concatenate([
-                rng.uniform(-0.5, 0.5, spec.n_params),
-                rng.uniform(-1.0, 1.5, 2),
-            ])
-            forward = approx_fprime(raw, objective, step)
-            central = np.array([
-                (objective(raw + step * e) - objective(raw - step * e)) / (2 * step)
-                for e in np.eye(raw.size)
-            ])
-            scale = np.maximum(np.abs(central), 1e-3)
-            assert np.max(np.abs(forward - central) / scale) < 1e-4
+            x = np.concatenate([rng.uniform(-0.5, 0.5, spec.n_params),
+                                rng.uniform(0.2, 0.95, 2)])
+            _check_score(panel, spec, x, f_hat)
 
 
 def _loglik_with_utilities(panel, utility, beta, delta, transitions):
@@ -241,14 +333,14 @@ def _loglik_with_utilities(panel, utility, beta, delta, transitions):
 
 
 class TestFitMle:
-    def make_problem(self, seed=0, n_agents=600):
+    def make_problem(self, seed=0, n_agents=600, beta=0.8, delta=0.9):
         rng = np.random.default_rng(seed)
         J, K, T = 4, 2, 8
         f = random_transitions(J, K, seed=seed + 1)
         u = np.zeros((K, J))
         u[0] = 0.6 - 0.25 * np.arange(J)
-        model = ModelSpec(num_states=J, num_actions=K, horizon=T, beta=0.8,
-                          delta=0.9, utility=u, transitions=f)
+        model = ModelSpec(num_states=J, num_actions=K, horizon=T, beta=beta,
+                          delta=delta, utility=u, transitions=f)
         sol = solve_backward(model)
         panel = simulate_panel(model, sol, n_agents, seed=seed + 2)
         spec = UtilitySpec(form="linear_in_state", num_actions=K, num_states=J)
@@ -277,11 +369,12 @@ class TestFitMle:
 
     def test_nine_start_grid(self):
         _, panel, spec, f_hat = self.make_problem(seed=4, n_agents=150)
+        # beta varies slowest; the nine interior starts keep their order
         points = MleConfig(theta_ref=(0.6, -0.25)).start_points(2)
-        assert len(points) == 9
-        assert {(b, d) for (_, b, d) in points} == {
-            (b, d) for b in (0.7, 0.8, 0.9) for d in (0.7, 0.8, 0.9)
-        }
+        assert len(points) == 16
+        assert [(b, d) for (_, b, d) in points] == [
+            (b, d) for b in (0.7, 0.8, 0.9, 0.01) for d in (0.7, 0.8, 0.9, 0.999)
+        ]
         assert_allclose(points[0][0], [0.57, -0.2375], rtol=0, atol=1e-15)
 
     def test_fixed_beta_reduces_to_exponential_mle(self):
@@ -305,9 +398,31 @@ class TestFitMle:
         assert abs(result.delta_hat - 0.9) < 0.15
         assert abs(result.theta_u_hat[0] - 0.5) < 0.05
         assert abs(result.theta_u_hat[1] + 0.2) < 0.02
-        assert len(result.per_start) == 3  # only the delta grid remains
+        assert len(result.per_start) == 4  # only the delta grid remains
         at_truth = log_likelihood(panel, spec, [0.5, -0.2], 1.0, 0.9, f_hat)
         assert result.loglik >= at_truth
+
+    def test_fit_reaches_beta_one(self):
+        # time-consistent data on which the best fit ends at beta = 1
+        # exactly, the admissible edge, and says so; so does every start
+        # that reaches the best log likelihood
+        J, K, T = 4, 2, 8
+        f = random_transitions(J, K, seed=1)
+        u = np.zeros((K, J))
+        u[0] = 0.6 - 0.25 * np.arange(J)
+        model = ModelSpec(num_states=J, num_actions=K, horizon=T, beta=1.0,
+                          delta=0.9, utility=u, transitions=f)
+        panel = simulate_panel(model, solve_backward(model), 600, seed=2)
+        spec = UtilitySpec(form="linear_in_state", num_actions=K, num_states=J)
+        f_hat = estimate_transitions(panel, J, K)
+        result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+        assert result.beta_hat == 1.0
+        assert all(r.converged for r in result.per_start)
+        best = [r for r in result.per_start if r.loglik > result.loglik - 1e-9]
+        assert len(best) >= 9 and all("beta" in r.at_bound for r in best)
+        _, score = _exact_score(panel, spec, result.theta_u_hat, 1.0,
+                                result.delta_hat, f_hat)
+        assert score[2] > 0.0  # the likelihood still rises towards beta > 1
 
     def test_single_large_replication_near_truth(self):
         # one replication of the 5-state linear design at N = 8000: the
@@ -322,12 +437,33 @@ class TestFitMle:
         assert abs(record.alpha0 - 0.5) < 3 * 0.014
         assert abs(record.alpha1 + 0.2) < 3 * 0.005
 
+    @pytest.mark.parametrize("beta,delta,replication,loglik", [
+        (0.85, 0.9, 81, -21844.284501846887),
+        (0.7, 0.75, 93, -21881.15983031932),
+    ])
+    def test_present_bias_start_finds_the_patient_maximum(self, beta, delta,
+                                                          replication, loglik):
+        # two acceptance-design replications whose likelihood has a second,
+        # higher local maximum at a small beta with delta near 1; the
+        # searches from the nine interior starts all miss it, the
+        # (0.01, 0.999) start reaches it.  `loglik` is the value a
+        # logistic-space Nelder-Mead search reached on the same panels.
+        from hyperdisc import McConfig
+        from hyperdisc.montecarlo import run_one_replication
+        config = McConfig(delta=delta, beta=beta, sample_sizes=(2000,),
+                          n_replications=100, base_seed=20260801)
+        record = run_one_replication(config, replication, 2000)
+        assert record.ok
+        assert record.loglik >= loglik - 1e-6
+        assert record.best_start in (3, 7, 11, 12, 13, 14, 15)  # an edge start
+        assert record.beta < 0.05 and record.delta > 0.999
+
     def test_nonconvergence_carries_records(self):
         _, panel, spec, f_hat = self.make_problem(seed=5, n_agents=100)
         config = MleConfig(theta_ref=(0.6, -0.25), max_iterations=1)
         with pytest.raises(NonConvergenceError) as err:
             fit_mle(panel, spec, f_hat, config)
-        assert len(err.value.records) == 9
+        assert len(err.value.records) == 16
         assert all(not r.converged for r in err.value.records)
 
     def test_bad_fixed_parameter_rejected(self):

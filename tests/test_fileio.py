@@ -182,7 +182,8 @@ class TestConfigDocuments:
         )
         assert spec.form == "linear_in_state"
         assert spec.reference_action == 1
-        assert config.beta_starts == (0.7, 0.8, 0.9)
+        assert config.beta_starts == (0.7, 0.8, 0.9, 0.01)
+        assert config.delta_starts == (0.7, 0.8, 0.9, 0.999)
         assert config.param_tol == 1e-8
         assert config.objective_tol == 1e-10
 

@@ -276,6 +276,63 @@ class TestSolveBackward:
         moved = solve_backward(shifted)
         assert_allclose(moved.P[-1, :, x], base.P[-1, :, x], rtol=0, atol=1e-12)
 
+    def test_large_payoffs_keep_probabilities_on_the_simplex(self):
+        # log CCPs formed as (W - m) - log(sum exp(W - m)) keep their
+        # absolute precision when every payoff is raised by 1e4
+        model = make_random_model(12, horizon=20)
+        raised = ModelSpec(
+            num_states=model.num_states, num_actions=model.num_actions,
+            horizon=model.horizon, beta=model.beta, delta=model.delta,
+            utility=model.utility + 1e4, transitions=model.transitions,
+            equality_pairs=model.equality_pairs,
+        )
+        sol = solve_backward(raised, check=True)
+        assert np.abs(sol.P.sum(axis=1) - 1.0).max() < 1e-14
+        # W itself carries rounding of order 1e4 * eps per period
+        assert_allclose(sol.P, solve_backward(model).P, rtol=0, atol=1e-10)
+
+
+class TestBackwardCoreDerivatives:
+    @pytest.mark.parametrize("seed,kwargs", [
+        (30, {}), (31, {"beta": 1.0}), (32, {"num_states": 4, "num_actions": 3}),
+    ])
+    def test_value_path_bit_identical_with_derivatives(self, seed, kwargs):
+        model = make_random_model(seed, **kwargs)
+        dutility = np.random.default_rng(seed).normal(
+            size=(3, model.num_actions, model.num_states))
+        args = (model.utility, model.transitions, model.beta, model.delta,
+                model.horizon)
+        V, W, logP = model_module._backward_core(*args)
+        V_d, W_d, logP_d, dlogP = model_module._backward_core(*args, dutility)
+        assert_array_equal(V_d, V)
+        assert_array_equal(W_d, W)
+        assert_array_equal(logP_d, logP)
+        assert dlogP.shape == (model.horizon, 3 + 2, model.num_actions,
+                               model.num_states)
+
+    def test_derivatives_match_central_differences(self):
+        model = make_random_model(33, num_states=4, num_actions=3, horizon=7)
+        p = 2
+        dutility = np.random.default_rng(3).normal(
+            size=(p, model.num_actions, model.num_states))
+
+        def log_ccps(x):
+            utility = model.utility + np.tensordot(x[:p], dutility, axes=1)
+            return model_module._backward_core(utility, model.transitions,
+                                               x[p], x[p + 1], model.horizon)[2]
+
+        x = np.array([0.3, -0.4, model.beta, model.delta])
+        utility = model.utility + np.tensordot(x[:p], dutility, axes=1)
+        dlogP = model_module._backward_core(utility, model.transitions, x[p],
+                                            x[p + 1], model.horizon, dutility)[3]
+        step = 1e-6
+        for i, e in enumerate(np.eye(p + 2) * step):
+            central = (log_ccps(x + e) - log_ccps(x - e)) / (2 * step)
+            assert_allclose(dlogP[:, i], central, rtol=0, atol=1e-8)
+        # the sum over actions of P * dlogP is zero: probabilities stay on the simplex
+        P = np.exp(log_ccps(x))
+        assert np.abs((P[:, None] * dlogP).sum(axis=2)).max() < 1e-13
+
 
 class TestValidation:
     def test_transition_rows_must_sum_to_one(self):
