@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import fileio
+from . import __version__, fileio
 from .estimation import fit_mle
 from .exceptions import (
     AssumptionViolationError,
@@ -54,11 +54,14 @@ _MODE_FLAGS = {"right-inverse": MODE_RIGHT_INVERSE,
 
 
 def _version() -> str:
+    """The installed distribution's version; the package's own
+    ``__version__`` when it runs from a source checkout."""
+    from importlib import metadata
+
     try:
-        from importlib.metadata import version
-        return version("hyperdisc")
-    except Exception:
-        return "unknown"
+        return metadata.version("hyperdisc")
+    except metadata.PackageNotFoundError:
+        return __version__
 
 
 def _resolve_seed(arg_seed):

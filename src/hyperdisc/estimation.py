@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .exceptions import InvalidInputError, NonConvergenceError
 from .model import _backward_core
@@ -241,6 +240,12 @@ class StartRecord:
     is, moved onto the box.  ``converged`` is the optimizer's own
     success flag; ``at_bound`` names the estimated discount factors
     (``"beta"``, ``"delta"``) that finish on an edge of the search box.
+    ``projected_score`` is the largest absolute entry of the log
+    likelihood's score at the start's end point, with the entries of
+    fixed parameters and of coordinates on an edge whose score points
+    out of the box set to zero; it is about 0 at a stationary point of
+    the box.  A start can stop on the relative-reduction test while it
+    is well above ``param_tol``, as on a flat ridge in (beta, delta).
     """
 
     index: int
@@ -252,7 +257,8 @@ class StartRecord:
     iterations: int
     n_evaluations: int
     message: str
-    at_bound: tuple = ()
+    at_bound: tuple
+    projected_score: float
 
 
 @dataclass(frozen=True)
@@ -270,6 +276,8 @@ class MleResult:
 def _box(n_theta: int, fixed_parameters: dict):
     """L-BFGS-B bounds on ``(theta_u, beta, delta)``; a fixed discount
     factor gets equal lower and upper bounds."""
+    from scipy import optimize
+
     beta = fixed_parameters.get("beta")
     delta = fixed_parameters.get("delta")
     return optimize.Bounds(
@@ -292,6 +300,9 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     index.  Raises ``NonConvergenceError`` (carrying all per-start
     records) only if no start converges.
     """
+    # imported here to keep SciPy off the package's import path
+    from scipy import optimize
+
     f = _resolve_transitions(transitions)
     K, J = utility_spec.num_actions, utility_spec.num_states
     counts = empirical_ccps(panel, J, K).counts
@@ -323,6 +334,11 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             nm for i, nm in enumerate(("beta", "delta"), n_theta)
             if nm not in config.fixed_parameters and res.x[i] in (box.lb[i], box.ub[i])
         )
+        # res.jac is the gradient of -loglik at res.x; a fixed parameter
+        # has both edges active, so its entry is always blocked
+        score = -res.jac
+        blocked = ((box.lb == box.ub) | ((res.x <= box.lb) & (score < 0.0))
+                   | ((res.x >= box.ub) & (score > 0.0)))
         records.append(StartRecord(
             index=idx,
             theta_start=tuple(float(v) for v in theta0),
@@ -334,6 +350,7 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             n_evaluations=int(res.nfev),
             message=str(res.message),
             at_bound=at_bound,
+            projected_score=float(np.abs(np.where(blocked, 0.0, score)).max()),
         ))
         finals.append((theta_hat, beta_hat, delta_hat))
 

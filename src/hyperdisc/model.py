@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .exceptions import InvalidInputError
 
@@ -311,6 +310,9 @@ def solve_backward(model: ModelSpec, check=False) -> ValueSolution:
     )
     solution = ValueSolution(V=V, W=W, P=np.exp(logP))
     if check:
+        # imported here to keep SciPy off the package's import path
+        from scipy import special
+
         P = solution.P
         v_next = np.concatenate([V[1:], np.zeros((1, model.num_states))])
         ev = np.einsum("ixy,ty->tix", model.transitions, v_next)

@@ -14,7 +14,6 @@ errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +267,9 @@ def run_replications(config: McConfig) -> list:
              for r in range(config.n_replications)]
     if config.n_jobs <= 1:
         return [_run_task(t) for t in tasks]
+    # imported here, so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
         return list(pool.map(_run_task, tasks, chunksize=1))
 

@@ -1,9 +1,11 @@
+import importlib.metadata
 import json
 import os
 
 import numpy as np
 import pytest
 
+import hyperdisc
 from hyperdisc import cli
 from hyperdisc.cli import main
 from hyperdisc.fileio import load_json, save_model
@@ -84,6 +86,28 @@ class TestSimulateCommand:
         code = main(["simulate", "--model", str(tmp_path / "nope.json"),
                      "--agents", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+
+class TestToolVersion:
+    def test_source_checkout_falls_back_to_package_version(self, monkeypatch,
+                                                           tmp_path, model_file):
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
+        assert cli._version() == hyperdisc.__version__ == "0.1.0"
+        out = tmp_path / "panel.csv"
+        assert main(["simulate", "--model", str(model_file), "--agents", "10",
+                     "--out", str(out)]) == 0
+        assert load_json(f"{out}.manifest.json")["tool_version"] == "0.1.0"
+
+    def test_other_errors_are_not_swallowed(self, monkeypatch):
+        def broken(name):
+            raise ValueError("corrupt metadata")
+
+        monkeypatch.setattr(importlib.metadata, "version", broken)
+        with pytest.raises(ValueError):
+            cli._version()
 
 
 class TestIdentifyCommand:
@@ -201,6 +225,7 @@ class TestEstimateCommand:
         assert len(report["per_start"]) == 16
         best = report["per_start"][report["best_start_index"]]
         assert ("beta" in best["at_bound"]) == (report["beta_hat"] == 1.0)
+        assert all(r["projected_score"] >= 0.0 for r in report["per_start"])
         assert report["loglik"] == max(r["loglik"] for r in report["per_start"])
 
     def test_nonconvergence_exit_code(self, tmp_path):

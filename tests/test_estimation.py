@@ -424,6 +424,36 @@ class TestFitMle:
                                 result.delta_hat, f_hat)
         assert score[2] > 0.0  # the likelihood still rises towards beta > 1
 
+    def test_projected_score_shows_interior_stalls(self):
+        # the data of test_fit_reaches_beta_one.  The best start's
+        # projected score is the exact score at the estimate without its
+        # beta entry, which points out of the box at beta = 1.  Starts that
+        # stop short of the best in the interior still report converged,
+        # on the relative-reduction test, and their projected scores,
+        # far above param_tol, show that they are not stationary.
+        _, panel, spec, f_hat = self.make_problem(seed=0, beta=1.0)
+        result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+        _, score = _exact_score(panel, spec, result.theta_u_hat, result.beta_hat,
+                                result.delta_hat, f_hat)
+        assert result.beta_hat == 1.0 and score[2] > 0.0
+        best = result.per_start[result.best_start_index]
+        assert best.projected_score == np.abs(score[[0, 1, 3]]).max()
+        stalls = [r for r in result.per_start
+                  if r.at_bound == () and r.loglik < result.loglik - 1e-6]
+        assert len(stalls) >= 2
+        assert all(r.converged and r.projected_score > 1e-3 for r in stalls)
+
+    def test_projected_score_leaves_out_fixed_parameters(self):
+        _, panel, spec, f_hat = self.make_problem(seed=0, n_agents=800)
+        config = MleConfig(theta_ref=(0.6, -0.25), fixed_parameters={"beta": 0.8})
+        result = fit_mle(panel, spec, f_hat, config)
+        _, score = _exact_score(panel, spec, result.theta_u_hat, 0.8,
+                                result.delta_hat, f_hat)
+        best = result.per_start[result.best_start_index]
+        assert best.at_bound == ()
+        assert best.projected_score == np.abs(score[[0, 1, 3]]).max()
+        assert all(0.0 <= r.projected_score < 1e-3 for r in result.per_start)
+
     def test_single_large_replication_near_truth(self):
         # one replication of the 5-state linear design at N = 8000: the
         # intercept estimate lands within three replication standard
