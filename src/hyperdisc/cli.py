@@ -19,8 +19,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, fileio
 from .estimation import fit_mle
 from .exceptions import (
@@ -33,6 +31,7 @@ from .exceptions import (
 from .identification import (
     MODE_CONSTRAINED_LS,
     MODE_RIGHT_INVERSE,
+    _validate_macro,
     check_model,
     identify_from_estimates,
     identify_model,
@@ -108,15 +107,8 @@ def _parse_anchor(text):
 
 
 def _parse_pairs(text):
-    if text is None:
-        return None
-    pairs = []
-    for chunk in text.split(";"):
-        fields = chunk.split(",")
-        if len(fields) != 4:
-            raise InvalidInputError("--pairs must be k,l,x1,x2 groups joined by ';'")
-        pairs.append(tuple(int(v) for v in fields))
-    return tuple(pairs)
+    """``k,l,x1,x2`` groups joined by ``;``, checked where the pairs are used."""
+    return None if text is None else tuple(chunk.split(",") for chunk in text.split(";"))
 
 
 def _load_macro(path):
@@ -127,7 +119,7 @@ def _load_macro(path):
         if "macro_transitions" not in data:
             raise InvalidInputError(f"{path}: JSON object has no 'macro_transitions' key")
         data = data["macro_transitions"]
-    return np.asarray(data, dtype=float)
+    return _validate_macro(data)
 
 
 def cmd_simulate(args) -> int:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInputError, NonConvergenceError
-from .model import _backward_core
-from .simulation import PanelData, TransitionEstimate, empirical_ccps
+from .model import _backward_core, _check_discounts, _check_transitions, _state_values
+from .simulation import PanelData, empirical_ccps
 
 # Lower edge of both discount factors in the search box; it must be
 # above 0, where the model is undefined.  On the edge beta = floor the
@@ -76,10 +76,7 @@ class UtilitySpec:
         ref = K - 1 if self.reference_action is None else int(self.reference_action)
         if not 0 <= ref < K:
             raise InvalidInputError(f"reference_action {ref} out of range")
-        sv = (np.arange(J, dtype=float) if self.state_values is None
-              else np.asarray(self.state_values, dtype=float))
-        if sv.shape != (J,) or not np.all(np.isfinite(sv)):
-            raise InvalidInputError("state_values must be J finite numbers")
+        sv = _state_values(self.state_values, J)
         sv.setflags(write=False)
         object.__setattr__(self, "num_actions", K)
         object.__setattr__(self, "num_states", J)
@@ -121,14 +118,6 @@ class UtilitySpec:
         return [f"u_{i}_{x}" for i in free_actions for x in range(self.num_states)]
 
 
-def _resolve_transitions(transitions) -> np.ndarray:
-    f = transitions.f_hat if isinstance(transitions, TransitionEstimate) else transitions
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 3 or f.shape[1] != f.shape[2]:
-        raise InvalidInputError("transitions must have shape (K, J, J)")
-    return f
-
-
 def _choice_loglik(counts, utility, transitions, beta, delta, dutility=None):
     """The choice block ``sum_n sum_t log P_t(a_nt | x_nt)`` from the
     (T, K, J) observation counts, its sufficient statistic.
@@ -153,13 +142,10 @@ def log_likelihood(panel: PanelData, utility_spec: UtilitySpec, theta_u,
     transition block of the joint likelihood is constant in these
     parameters and deliberately not included.
     """
-    if not (0.0 < beta <= 1.0):
-        raise InvalidInputError(f"beta must lie in (0, 1], got {beta}")
-    if not (0.0 < delta < 1.0):
-        raise InvalidInputError(f"delta must lie in (0, 1), got {delta}")
-    f = _resolve_transitions(transitions)
-    counts = empirical_ccps(panel, utility_spec.num_states,
-                            utility_spec.num_actions).counts
+    _check_discounts(beta, delta)
+    K, J = utility_spec.num_actions, utility_spec.num_states
+    f = _check_transitions(transitions, (K, J, J))
+    counts = empirical_ccps(panel, J, K).counts
     return _choice_loglik(counts, utility_spec.build_utility(theta_u), f, beta, delta)
 
 
@@ -204,13 +190,12 @@ class MleConfig:
     fixed_parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, value in self.fixed_parameters.items():
+        fixed = self.fixed_parameters
+        for key in fixed:
             if key not in ("beta", "delta"):
                 raise InvalidInputError(f"cannot fix unknown parameter {key!r}")
-            if key == "beta" and not (0.0 < value <= 1.0):
-                raise InvalidInputError(f"fixed beta must lie in (0, 1], got {value}")
-            if key == "delta" and not (0.0 < value < 1.0):
-                raise InvalidInputError(f"fixed delta must lie in (0, 1), got {value}")
+        # a factor left free is checked at an admissible stand-in
+        _check_discounts(fixed.get("beta", 1.0), fixed.get("delta", 0.5), "fixed ")
 
     def start_points(self, n_theta: int):
         if self.starts is not None:
@@ -297,14 +282,16 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     with the exact score, in the box of ``_box`` and with the stopping
     rules of ``MleConfig``.  A start outside the box is moved onto it.
     Ties in the final log likelihood are broken by the lowest start
-    index.  Raises ``NonConvergenceError`` (carrying all per-start
-    records) only if no start converges.
+    index.  ``transitions`` is a (K, J, J) tensor of probability rows
+    or an estimate carrying one in ``f_hat``.  Raises
+    ``NonConvergenceError`` (carrying all per-start records) only if no
+    start converges.
     """
     # imported here to keep SciPy off the package's import path
     from scipy import optimize
 
-    f = _resolve_transitions(transitions)
     K, J = utility_spec.num_actions, utility_spec.num_states
+    f = _check_transitions(transitions, (K, J, J))
     counts = empirical_ccps(panel, J, K).counts
     n_theta = utility_spec.n_params
     # build_utility is linear, so its Jacobian is the table of each unit vector

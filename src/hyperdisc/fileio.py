@@ -10,7 +10,7 @@ import csv
 import itertools
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from .model import ModelSpec
 from .montecarlo import McConfig, McSummary
 from .simulation import PanelData
 
-MODEL_FIELDS = ("num_states", "num_actions", "horizon", "beta", "delta",
-                "utility", "transitions", "state_values", "equality_pairs")
+MODEL_FIELDS = tuple(f.name for f in fields(ModelSpec))
+# Monte Carlo config keys that differ from their McConfig field names
+_MC_KEYS = {"n_replications": "replications", "n_jobs": "jobs"}
 
 PANEL_HEADER = ["agent", "period", "state", "action"]
 _WRITE_BLOCK_ROWS = 32768
@@ -30,17 +31,7 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def model_to_dict(model: ModelSpec) -> dict:
-    return {
-        "num_states": model.num_states,
-        "num_actions": model.num_actions,
-        "horizon": model.horizon,
-        "beta": model.beta,
-        "delta": model.delta,
-        "utility": model.utility.tolist(),
-        "transitions": model.transitions.tolist(),
-        "state_values": model.state_values.tolist(),
-        "equality_pairs": [list(p) for p in model.equality_pairs],
-    }
+    return {name: _jsonable(getattr(model, name)) for name in MODEL_FIELDS}
 
 
 def model_from_dict(data: dict) -> ModelSpec:
@@ -49,17 +40,7 @@ def model_from_dict(data: dict) -> ModelSpec:
     missing = [f for f in MODEL_FIELDS if f not in data]
     if missing:
         raise InvalidInputError(f"model document is missing fields: {', '.join(missing)}")
-    return ModelSpec(
-        num_states=data["num_states"],
-        num_actions=data["num_actions"],
-        horizon=data["horizon"],
-        beta=data["beta"],
-        delta=data["delta"],
-        utility=data["utility"],
-        transitions=data["transitions"],
-        state_values=data["state_values"],
-        equality_pairs=tuple(tuple(p) for p in data["equality_pairs"]),
-    )
+    return ModelSpec(**{name: data[name] for name in MODEL_FIELDS})
 
 
 def save_model(model: ModelSpec, path) -> None:
@@ -230,28 +211,13 @@ def load_estimation_config(path):
 def mc_config_from_dict(data: dict) -> McConfig:
     if not isinstance(data, dict):
         raise InvalidInputError("montecarlo config must be a JSON object")
-    known = dict(data)
-    kwargs = {}
-    mapping = {
-        "num_states": "num_states", "num_actions": "num_actions",
-        "horizon": "horizon", "alpha0": "alpha0", "alpha1": "alpha1",
-        "beta": "beta", "delta": "delta", "sample_sizes": "sample_sizes",
-        "replications": "n_replications", "base_seed": "base_seed",
-        "jobs": "n_jobs", "transition_seed_policy": "transition_seed_policy",
-        "state_values": "state_values", "initial_dist": "initial_dist",
-        "mle_max_iterations": "mle_max_iterations",
-    }
-    for key, attr in mapping.items():
-        if key in known:
-            value = known.pop(key)
-            if key in ("sample_sizes", "state_values", "initial_dist") and value is not None:
-                value = tuple(value)
-            kwargs[attr] = value
-    if known:
-        raise InvalidInputError(
-            f"montecarlo config has unknown fields: {', '.join(sorted(known))}"
-        )
-    return McConfig(**kwargs)
+    keys = {_MC_KEYS.get(f.name, f.name): f.name for f in fields(McConfig)}
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise InvalidInputError(f"montecarlo config has unknown fields: {', '.join(unknown)}")
+    # JSON arrays become the tuples McConfig holds
+    return McConfig(**{keys[key]: tuple(value) if isinstance(value, list) else value
+                       for key, value in data.items()})
 
 
 def load_mc_config(path) -> McConfig:

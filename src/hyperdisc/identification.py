@@ -68,7 +68,18 @@ from .exceptions import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .model import PAIR_UTILITY_TOL, ModelSpec, ValueSolution, solve_backward
+from .model import (
+    PAIR_UTILITY_TOL,
+    ROW_SUM_TOL,
+    ModelSpec,
+    ValueSolution,
+    _as_float_array,
+    _check_discounts,
+    _check_distributions,
+    _check_pairs,
+    _check_transitions,
+    solve_backward,
+)
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -107,7 +118,6 @@ class PairSystem:
     F: np.ndarray
     num_states: int
     num_actions: int
-    rank_tol: float
     singular_values: np.ndarray
 
     def solve(self, rhs):
@@ -166,24 +176,16 @@ def numerical_rank(matrix, rank_tol=None):
 def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
     """Assemble the transition-difference matrices for the given pairs.
 
-    Requires at least ``J-1`` pairs with valid indices, and checks
-    condition 4(b): the stacked pair rows must have full column rank at
-    ``rank_tol`` (relative to the largest singular value).
+    ``transitions`` is a (K, J, J) tensor or an estimate carrying one in
+    ``f_hat``.  Requires at least ``J-1`` pairs with valid indices, and
+    checks condition 4(b): the stacked pair rows must have full column
+    rank at ``rank_tol`` (relative to the largest singular value).
     """
-    f = np.asarray(transitions, dtype=float)
-    if f.ndim != 3 or f.shape[1] != f.shape[2]:
-        raise InvalidInputError("transitions must have shape (K, J, J)")
+    f = _check_transitions(transitions)
     K, J = f.shape[0], f.shape[1]
     if J < 2:
         raise InvalidInputError("identification needs at least 2 states")
-    norm_pairs = []
-    for pair in pairs:
-        if len(pair) != 4:
-            raise InvalidInputError(f"pair {pair!r} must have 4 entries")
-        k, l, x1, x2 = (int(v) for v in pair)
-        if not (0 <= k < K and 0 <= l < K and 0 <= x1 < J and 0 <= x2 < J):
-            raise InvalidInputError(f"pair {pair!r} is out of range for K={K}, J={J}")
-        norm_pairs.append((k, l, x1, x2))
+    norm_pairs = _check_pairs(pairs, K, J)
     if len(norm_pairs) < J - 1:
         raise InvalidInputError(
             f"need at least J-1 = {J - 1} pairs, got {len(norm_pairs)}"
@@ -203,13 +205,12 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
             assumption="4(b)",
         )
     return PairSystem(
-        pairs=tuple(norm_pairs),
+        pairs=norm_pairs,
         F_tilde=F_tilde,
         F_tilde_K=F_tilde_K,
         F=F,
         num_states=J,
         num_actions=K,
-        rank_tol=float(rank_tol),
         singular_values=sv,
     )
 
@@ -272,17 +273,10 @@ def assemble_system(ccps, pair_system):
 
 def _validate_macro(macro_transitions):
     """``macro_transitions`` as a float array, once it is a row-stochastic square matrix."""
-    H = np.asarray(macro_transitions, dtype=float)
+    H = _as_float_array(macro_transitions, "macro_transitions")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidInputError("macro_transitions must be a square matrix")
-    if not np.all(np.isfinite(H)) or np.any(H < 0.0):
-        raise InvalidInputError("macro_transitions must be finite and non-negative")
-    row_err = np.abs(H.sum(axis=1) - 1.0).max()
-    if row_err > 1e-12:
-        raise InvalidInputError(
-            f"macro_transitions rows must sum to 1 within 1e-12; worst {row_err:.3e}"
-        )
-    return H
+    return _check_distributions(H, "macro_transitions", ROW_SUM_TOL)
 
 
 def assemble_system_macro(ccps, pair_system, macro_transitions):
@@ -389,12 +383,11 @@ def _solve_discounts_impl(A, B, rank_tol, mode, labels):
         delta_hat = -1.0 / (beta_hat * c2)
     beta_hat = float(beta_hat)
     delta_hat = float(delta_hat)
-    in_range = bool(
-        np.isfinite(beta_hat)
-        and np.isfinite(delta_hat)
-        and 0.0 < beta_hat <= 1.0
-        and 0.0 < delta_hat < 1.0
-    )
+    try:
+        _check_discounts(beta_hat, delta_hat)
+        in_range = True
+    except InvalidInputError:
+        in_range = False
     return IdentificationResult(
         beta_hat=beta_hat,
         delta_hat=delta_hat,
@@ -510,7 +503,7 @@ def inclusive_value_gaps(solution_or_w, pairs):
     from scipy.special import logsumexp as _lse
 
     inclusive = _lse(w, axis=1)  # (T, J)
-    _, _, x1, x2 = _pair_columns(pairs)
+    _, _, x1, x2 = _pair_columns(_check_pairs(pairs, w.shape[1], w.shape[2]))
     return inclusive[:, x1] - inclusive[:, x2]
 
 
@@ -609,11 +602,27 @@ def identify_from_estimates(ccp_counts, ccp_visited, transitions, pairs,
     (K, J, J) array).  Zero cells are smoothed before logs; the smoothed
     cell count lands in the diagnostics.
     """
-    f = getattr(transitions, "f_hat", transitions)
-    pair_system = build_pair_system(f, pairs, rank_tol)
+    pair_system = build_pair_system(transitions, pairs, rank_tol)
     ccps, n_smoothed = smooth_empirical_ccps(ccp_counts, ccp_visited)
     return _identify(ccps, pair_system, mode, rank_tol, anchor,
                      macro_transitions, {"smoothed_cells": n_smoothed})
+
+
+def _rank_entry(name, shape, sv, rank_tol):
+    """``check_model`` entry on the full row rank of a ``shape`` matrix
+    whose nonzero singular values are ``sv`` times a common factor: the
+    verdict is its structural rank (``numerical_rank``'s default), the
+    detail adds the rank at ``rank_tol``, which the right inverse needs.
+    """
+    top = sv[0] if sv.size else 0.0
+    structural = int((sv > max(shape) * np.finfo(float).eps * top).sum())
+    smallest = sv[-1] / top if top and sv.size == min(shape) else 0.0
+    return {
+        "passed": structural == shape[0],
+        "detail": f"{name} is {shape[0]}x{shape[1]}, structural rank {structural}, "
+                  f"rank {int((sv > rank_tol * top).sum())} at rank_tol {rank_tol:g}; "
+                  f"smallest relative singular value {smallest:.3e}",
+    }
 
 
 def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
@@ -625,10 +634,12 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
     4(b) the pair-matrix rank at ``rank_tol``, 5(a) the horizon
     requirement, and 5(b) whether the assembled A is full row rank in
     the structural sense (singular values above floating-point
-    resolution; the reported singular-value ratio tells how usable the
-    right inverse is numerically).  With ``macro_transitions`` the 7/8
-    analogues are reported as well.  Returns a dict of
-    ``{condition: {"passed": bool, "detail": str}}``.
+    resolution); its detail adds the rank at ``rank_tol``, which the
+    right inverse needs.  With ``macro_transitions`` the 7/8 analogues
+    are reported as well: 8(a) counts the (T-2)M columns of A_tilde, T-2
+    of them distinct, and 8(b) reads A_tilde's rank off A's singular
+    values.  Returns a dict of ``{condition: {"passed": bool, "detail":
+    str}}``.
     """
     J, K, T = model.num_states, model.num_actions, model.horizon
     H = None if macro_transitions is None else _validate_macro(macro_transitions)
@@ -667,16 +678,11 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
         "detail": f"T = {T}, requirement 3J-1 = {3 * J - 1}",
     }
 
-    solution = None
+    A = None
     if pair_system is not None and T >= 4:
-        solution = solve_backward(model)
-        A, _ = assemble_system(solution.P, pair_system)
-        rank, sv = numerical_rank(A, rank_tol=None)
-        report["5(b)"] = {
-            "passed": bool(rank == A.shape[0]),
-            "detail": f"A is {A.shape[0]}x{A.shape[1]}, structural rank {rank}; "
-                      f"smallest relative singular value {sv[-1] / sv[0]:.3e}",
-        }
+        A, _ = assemble_system(solve_backward(model).P, pair_system)
+        sv = np.linalg.svd(A, compute_uv=False)
+        report["5(b)"] = _rank_entry("A", A.shape, sv, rank_tol)
     else:
         report["5(b)"] = {
             "passed": False,
@@ -695,16 +701,14 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
         ok_count = (T - 2) * M >= 3 * (J - 1)
         report["8(a)"] = {
             "passed": bool(ok_count),
-            "detail": f"(T-2)*M = {(T - 2) * M}, requirement 3(J-1) = {3 * (J - 1)}",
+            "detail": f"(T-2)*M = {(T - 2) * M} columns, {T - 2} of them distinct; "
+                      f"requirement 3(J-1) = {3 * (J - 1)}",
         }
-        if pair_system is not None and solution is not None:
-            At, _ = assemble_system_macro(solution.P, pair_system, H)
-            rank, sv = numerical_rank(At, rank_tol=None)
-            report["8(b)"] = {
-                "passed": bool(rank == At.shape[0]),
-                "detail": f"A_tilde is {At.shape[0]}x{At.shape[1]}, structural rank "
-                          f"{rank}; smallest relative singular value {sv[-1] / sv[0]:.3e}",
-            }
+        if A is not None:
+            # A_tilde is A with each column repeated M times: its nonzero
+            # singular values are sqrt(M) times A's
+            report["8(b)"] = _rank_entry("A_tilde", (A.shape[0], A.shape[1] * M), sv,
+                                         rank_tol)
         else:
             report["8(b)"] = {"passed": False, "detail": "A_tilde not assembled"}
     return report

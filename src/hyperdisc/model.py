@@ -35,6 +35,7 @@ identification module.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +49,73 @@ CROSS_CHECK_TOL = 1e-10
 
 
 def _as_float_array(value, name, shape=None):
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be numeric") from None
     if shape is not None and arr.shape != shape:
         raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} must be finite everywhere")
     return arr
+
+
+# One validator per input rule; every entry point taking the input calls it.
+
+def _check_discounts(beta, delta, prefix=""):
+    """Raise unless ``beta`` is a real number in (0, 1] and ``delta`` one
+    in (0, 1); ``prefix`` starts the message."""
+    for name, value, interval in (("beta", beta, "(0, 1]"), ("delta", delta, "(0, 1)")):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"{prefix}{name} must be a real number, got {value!r}")
+        if not (0.0 < value <= 1.0 and (name == "beta" or value < 1.0)):
+            raise InvalidInputError(f"{prefix}{name} must lie in {interval}, got {value}")
+
+
+def _check_distributions(value, name, tol, shape=None):
+    """``value`` as a float array whose rows along the last axis are
+    probability vectors: finite, non-negative, summing to 1 within ``tol``."""
+    arr = _as_float_array(value, name, shape)
+    if np.any(arr < 0.0):
+        raise InvalidInputError(f"{name} must be non-negative")
+    row_err = np.abs(arr.sum(axis=-1) - 1.0).max()
+    if row_err > tol:
+        raise InvalidInputError(
+            f"every row of {name} must sum to 1 within {tol:g}; worst deviation {row_err:.3e}"
+        )
+    return arr
+
+
+def _check_transitions(value, shape=None):
+    """A (K, J, J) transition tensor (of ``shape`` if given), or the
+    ``f_hat`` of an estimate, as a float array of probability rows."""
+    f = _as_float_array(getattr(value, "f_hat", value), "transitions", shape)
+    if f.ndim != 3 or f.shape[1] != f.shape[2]:
+        raise InvalidInputError(f"transitions must have shape (K, J, J), got {f.shape}")
+    return _check_distributions(f, "transitions", ROW_SUM_TOL)
+
+
+def _check_pairs(pairs, K, J):
+    """Equal-payoff pairs as a tuple of ``(k, l, x1, x2)`` int tuples that
+    index K actions and J states."""
+    out = []
+    for pair in pairs:
+        try:
+            k, l, x1, x2 = (int(v) for v in pair)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"equality pair {pair!r} must be 4 integers") from None
+        if not (0 <= k < K and 0 <= l < K and 0 <= x1 < J and 0 <= x2 < J):
+            raise InvalidInputError(f"equality pair {pair!r} is out of range for K={K}, J={J}")
+        out.append((k, l, x1, x2))
+    return tuple(out)
+
+
+def _state_values(value, J):
+    """The covariate of each of J states: ``value`` as J finite floats,
+    or ``0, 1, ..., J-1`` when it is None."""
+    if value is None:
+        return np.arange(J, dtype=float)
+    return _as_float_array(value, "state_values", (J,))
 
 
 @dataclass(frozen=True)
@@ -78,7 +140,8 @@ class ModelSpec:
         Flow payoffs ``u_i(x)`` in utils.
     transitions : (K, J, J) array
         ``transitions[i, x, x'] = f(x' | x, i)``; every row must be a
-        probability vector.
+        probability vector.  An estimate carrying it in ``f_hat`` is
+        accepted too.
     state_values : (J,) array, optional
         Covariate value attached to each state index (defaults to
         ``0, 1, ..., J-1``).  Decouples the internal index from the
@@ -100,47 +163,28 @@ class ModelSpec:
     equality_pairs: tuple = field(default=())
 
     def __post_init__(self):
-        J, K, T = int(self.num_states), int(self.num_actions), int(self.horizon)
+        try:
+            J, K, T = int(self.num_states), int(self.num_actions), int(self.horizon)
+        except (TypeError, ValueError):
+            raise InvalidInputError("model dimensions must be integers") from None
         if J < 1:
             raise InvalidInputError("num_states must be a positive integer")
         if K < 2:
             raise InvalidInputError("num_actions must be at least 2")
         if T < 1:
             raise InvalidInputError("horizon must be a positive integer")
-        if not (0.0 < self.beta <= 1.0):
-            raise InvalidInputError(f"beta must lie in (0, 1], got {self.beta}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta}")
-
+        _check_discounts(self.beta, self.delta)
         utility = _as_float_array(self.utility, "utility", (K, J))
-        transitions = _as_float_array(self.transitions, "transitions", (K, J, J))
-        if np.any(transitions < 0.0):
-            raise InvalidInputError("transition probabilities must be non-negative")
-        row_err = np.abs(transitions.sum(axis=2) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
-            raise InvalidInputError(
-                f"every transition row must sum to 1 within {ROW_SUM_TOL}; "
-                f"worst deviation {row_err:.3e}"
-            )
-
-        if self.state_values is None:
-            state_values = np.arange(J, dtype=float)
-        else:
-            state_values = _as_float_array(self.state_values, "state_values", (J,))
-
-        pairs = []
-        for pair in self.equality_pairs:
-            if len(pair) != 4:
-                raise InvalidInputError(f"equality pair {pair!r} must have 4 entries")
-            k, l, x1, x2 = (int(v) for v in pair)
-            if not (0 <= k < K and 0 <= l < K and 0 <= x1 < J and 0 <= x2 < J):
-                raise InvalidInputError(f"equality pair {pair!r} is out of range")
+        transitions = _check_transitions(self.transitions, (K, J, J))
+        state_values = _state_values(self.state_values, J)
+        pairs = _check_pairs(self.equality_pairs, K, J)
+        for k, l, x1, x2 in pairs:
             gap = abs(utility[k, x1] - utility[l, x2])
             if gap > PAIR_UTILITY_TOL:
                 raise InvalidInputError(
-                    f"equality pair {pair!r} violated: |u_k(x1) - u_l(x2)| = {gap:.3e}"
+                    f"equality pair {(k, l, x1, x2)!r} violated: "
+                    f"|u_k(x1) - u_l(x2)| = {gap:.3e}"
                 )
-            pairs.append((k, l, x1, x2))
 
         for arr in (utility, transitions, state_values):
             arr.setflags(write=False)
@@ -152,7 +196,7 @@ class ModelSpec:
         object.__setattr__(self, "utility", utility)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "state_values", state_values)
-        object.__setattr__(self, "equality_pairs", tuple(pairs))
+        object.__setattr__(self, "equality_pairs", pairs)
 
 
 @dataclass(frozen=True)
@@ -206,17 +250,13 @@ def choice_values(utility, transitions, beta, delta, v_next):
     object a time-consistent self would use); the gap between the two is
     ``(1 - beta) * delta * E[v_next | x, i]``.
     """
-    u = np.asarray(utility, dtype=float)
-    f = np.asarray(transitions, dtype=float)
-    v = np.asarray(v_next, dtype=float)
+    u = _as_float_array(utility, "utility")
     if u.ndim != 2:
         raise InvalidInputError("utility must be a (K, J) table")
     K, J = u.shape
-    if f.shape != (K, J, J):
-        raise InvalidInputError(f"transitions must have shape {(K, J, J)}, got {f.shape}")
-    if v.shape != (J,):
-        raise InvalidInputError(f"v_next must have shape {(J,)}, got {v.shape}")
-    return u + beta * delta * (f @ v)
+    _check_discounts(beta, delta)
+    f = _check_transitions(transitions, (K, J, J))
+    return u + beta * delta * (f @ _as_float_array(v_next, "v_next", (J,)))
 
 
 def _backward_core(utility, transitions, beta, delta, horizon, dutility=None):

@@ -20,8 +20,9 @@ import numpy as np
 
 from .estimation import MleConfig, UtilitySpec, fit_mle
 from .exceptions import EmptySummaryError, HyperdiscError, InvalidInputError
-from .model import ModelSpec, solve_backward
+from .model import ModelSpec, _as_float_array, _check_discounts, _state_values, solve_backward
 from .simulation import (
+    _initial_dist,
     derive_seed,
     estimate_transitions,
     random_transitions,
@@ -46,7 +47,8 @@ class McConfig:
     action 1 (``alpha0 + alpha1 * state_value``), zero payoff for the
     reference action, and a random transition tensor.  Agents start from
     the uniform state distribution unless ``initial_dist`` says
-    otherwise.
+    otherwise.  The design fields are checked by the rules the model
+    and the simulator apply to them, when the config is built.
     """
 
     num_states: int = 5
@@ -76,13 +78,17 @@ class McConfig:
             )
         if self.num_actions != 2:
             raise InvalidInputError("the built-in design uses exactly 2 actions")
+        if self.num_states < 1 or self.horizon < 1:
+            raise InvalidInputError("num_states and horizon must be positive integers")
+        _check_discounts(self.beta, self.delta)
+        _as_float_array((self.alpha0, self.alpha1), "alpha0 and alpha1")
+        _state_values(self.state_values, self.num_states)
+        _initial_dist(self.initial_dist, self.num_states)
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
 
     def utility_table(self) -> np.ndarray:
-        sv = (np.arange(self.num_states, dtype=float)
-              if self.state_values is None else np.asarray(self.state_values, float))
         u = np.zeros((self.num_actions, self.num_states))
-        u[0] = self.alpha0 + self.alpha1 * sv
+        u[0] = self.alpha0 + self.alpha1 * _state_values(self.state_values, self.num_states)
         return u
 
     def true_values(self) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .model import ModelSpec, ValueSolution
+from .model import ModelSpec, ValueSolution, _check_distributions
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -233,6 +233,14 @@ def random_transitions(num_states: int, num_actions: int, seed: int) -> np.ndarr
     return f / f.sum(axis=2, keepdims=True)
 
 
+def _initial_dist(value, J) -> np.ndarray:
+    """The starting-state distribution: uniform when ``value`` is None,
+    else ``value`` as a length-J probability vector (sum within 1e-9)."""
+    if value is None:
+        return np.full(J, 1.0 / J)
+    return _check_distributions(value, "initial_dist", 1e-9, (J,))
+
+
 def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
                    initial_dist=None, seed: int = 0) -> PanelData:
     """Draw a balanced panel from a solved model.
@@ -254,14 +262,7 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
         raise InvalidInputError("solution shapes do not match the model")
     if n_agents < 1:
         raise InvalidInputError("n_agents must be positive")
-    if initial_dist is None:
-        initial_dist = np.full(J, 1.0 / J)
-    initial_dist = np.asarray(initial_dist, dtype=float)
-    if initial_dist.shape != (J,) or np.any(initial_dist < 0.0) \
-            or abs(initial_dist.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("initial_dist must be a length-J probability vector")
-
-    cum_init = np.cumsum(initial_dist)
+    cum_init = np.cumsum(_initial_dist(initial_dist, J))
     cum_p = np.cumsum(solution.P, axis=1)      # over actions
     cum_f = np.cumsum(model.transitions, axis=2)  # over next states
 

@@ -101,6 +101,13 @@ class TestToolVersion:
                      "--out", str(out)]) == 0
         assert load_json(f"{out}.manifest.json")["tool_version"] == "0.1.0"
 
+    def test_package_version_matches_pyproject(self):
+        # a mismatch would put a wrong tool_version into checkout manifests
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            assert hyperdisc.__version__ == tomllib.load(fh)["project"]["version"]
+
     def test_other_errors_are_not_swallowed(self, monkeypatch):
         def broken(name):
             raise ValueError("corrupt metadata")
@@ -269,6 +276,25 @@ class TestMontecarloCommand:
         assert len(rows) == 1 + 4
         assert (out_dir / "estimates.csv").exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("beta", 1.5, r"beta must lie in (0, 1], got 1.5"),
+        ("state_values", [0.0, 1.0], "state_values must have shape (3,), got (2,)"),
+        ("initial_dist", [0.5, 0.5, 0.5], "every row of initial_dist must sum to 1"),
+        ("horizon", 0, "num_states and horizon must be positive integers"),
+        ("num_states", 0, "num_states and horizon must be positive integers"),
+        ("alpha0", "a", "alpha0 and alpha1 must be numeric"),
+    ])
+    def test_invalid_design_exits_2_before_running(self, tmp_path, capsys, field,
+                                                   value, message):
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps({"num_states": 3, "horizon": 6,
+                                           "replications": 1, field: value}))
+        out_dir = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(config_path), "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
     def test_default_jobs_counts_the_cpus_the_process_may_use(self, tmp_path,
                                                              monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -328,6 +354,26 @@ class TestCheckCommand:
         assert report["assumptions"]["8(a)"]["passed"]
         assert report["assumptions"]["8(b)"]["passed"]
         assert code == 0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("utility", [["a", 0.0, 0.0, 0.0, 0.0], [0.0] * 5], "utility must be numeric"),
+        ("beta", "0.8", "beta must be a real number, got '0.8'"),
+        ("transitions", "x", "transitions must be numeric"),
+        ("macro", [["a", "b"], ["c", "d"]], "macro_transitions must be numeric"),
+    ])
+    def test_non_numeric_json_exits_2(self, tmp_path, capsys, model_file, field,
+                                      value, message):
+        args = ["check", "--model", str(model_file)]
+        if field == "macro":
+            hfile = tmp_path / "h.json"
+            hfile.write_text(json.dumps(value))
+            args += ["--macro", str(hfile)]
+        else:
+            document = load_json(model_file)
+            document[field] = value
+            model_file.write_text(json.dumps(document))
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("document", [{"other": [[1.0]]},
                                           {"macro_transitions": [[2.0, -1.0], [0.5, 0.5]]}])

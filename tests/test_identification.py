@@ -542,6 +542,40 @@ class TestCheckModel:
             assert key in report
         assert report["8(a)"]["passed"]  # (16-2)*2 = 28 >= 12
 
+    def test_rank_details_name_what_the_solve_would_find(self):
+        # full structural rank, yet the right inverse's default tolerance
+        # sees 7 of the 12 directions; the macro system repeats A's columns
+        report = check_model(canonical_design(setting=1),
+                             macro_transitions=np.full((2, 2), 0.5))
+        assert ("A is 12x14, structural rank 12, rank 7 at rank_tol 1e-10;"
+                in report["5(b)"]["detail"])
+        assert report["8(a)"]["detail"].startswith("(T-2)*M = 28 columns, 14 of them distinct")
+        assert ("A_tilde is 12x28, structural rank 12, rank 7 at rank_tol 1e-10;"
+                in report["8(b)"]["detail"])
+
+    @pytest.mark.parametrize("model,M", [
+        (canonical_design(setting=1), 2),
+        (canonical_design(setting=2), 2),   # A full rank, A_tilde not
+        (make_random_model(5), 3),
+        (make_random_model(6, horizon=6), 3),   # fewer columns in A than rows
+    ])
+    def test_macro_rank_read_off_the_plain_system(self, model, M):
+        # 8(b) counts A's singular values at A_tilde's tolerance instead
+        # of decomposing A_tilde; both give the same ranks
+        H = np.full((M, M), 1.0 / M)
+        report = check_model(model, macro_transitions=H)
+        ps = build_pair_system(model.transitions, model.equality_pairs)
+        At, _ = assemble_system_macro(solve_backward(model).P, ps, H)
+        rank, sv = numerical_rank(At)
+        assert report["8(b)"]["passed"] == (rank == At.shape[0])
+        detail = report["8(b)"]["detail"]
+        assert f"structural rank {rank}, rank {numerical_rank(At, 1e-10)[0]} at" in detail
+        if At.shape[1] // M < At.shape[0]:
+            assert detail.endswith("smallest relative singular value 0.000e+00")
+        else:
+            smallest = float(detail.rsplit(" ", 1)[1])
+            assert smallest == pytest.approx(sv[-1] / sv[0], rel=1e-3, abs=1e-14)
+
     @pytest.mark.parametrize("H", [
         [[2.0, -1.0], [0.5, 0.5]],   # rows sum to 1, one entry negative
         [[0.5, 0.4], [0.3, 0.7]],    # a row off 1

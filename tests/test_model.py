@@ -9,9 +9,19 @@ from scipy.special import logsumexp
 
 from hyperdisc import (
     InvalidInputError,
+    McConfig,
+    MleConfig,
     ModelSpec,
+    UtilitySpec,
     ValueSolution,
+    build_pair_system,
+    check_model,
     choice_values,
+    estimate_transitions,
+    fit_mle,
+    inclusive_value_gaps,
+    log_likelihood,
+    simulate_panel,
     solve_backward,
 )
 from hyperdisc import model as model_module
@@ -385,3 +395,186 @@ class TestValidation:
         model = make_random_model(30)
         with pytest.raises(ValueError):
             model.utility[0, 0] = 99.0
+
+
+# --- each input rule, at every public entry point that takes the input ---
+
+RULE_MODEL = make_random_model(40, num_states=3)          # J = 3, K = 2, T = 10
+RULE_SPEC = UtilitySpec(form="linear_in_state", num_actions=2, num_states=3)
+RULE_PANEL = simulate_panel(RULE_MODEL, solve_backward(RULE_MODEL), 40, seed=1)
+RULE_FIT = MleConfig(starts=(((0.0, 0.0), 0.8, 0.9),))
+
+
+def with_transitions(f):
+    return ModelSpec(num_states=3, num_actions=2, horizon=4, beta=0.8, delta=0.9,
+                     utility=np.zeros((2, 3)), transitions=f)
+
+
+DISCOUNT_SITES = {
+    "ModelSpec": lambda b, d: ModelSpec(
+        num_states=3, num_actions=2, horizon=4, beta=b, delta=d,
+        utility=np.zeros((2, 3)), transitions=RULE_MODEL.transitions),
+    "log_likelihood": lambda b, d: log_likelihood(
+        RULE_PANEL, RULE_SPEC, (0.0, 0.0), b, d, RULE_MODEL.transitions),
+    "MleConfig.fixed_parameters": lambda b, d: MleConfig(
+        fixed_parameters={"beta": b, "delta": d}),
+    "McConfig": lambda b, d: McConfig(beta=b, delta=d),
+    "choice_values": lambda b, d: choice_values(
+        RULE_MODEL.utility, RULE_MODEL.transitions, b, d, np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DISCOUNT_SITES))
+@pytest.mark.parametrize("beta,delta,match", [
+    (1.0, 0.9, None),
+    (0.0, 0.9, r"beta must lie in \(0, 1\], got 0.0"),
+    (1.5, 0.9, r"beta must lie in \(0, 1\], got 1.5"),
+    (math.nan, 0.9, r"beta must lie in \(0, 1\]"),
+    ("0.8", 0.9, "beta must be a real number, got '0.8'"),
+    (0.8, 1.0, r"delta must lie in \(0, 1\), got 1.0"),
+    (0.8, 0.0, r"delta must lie in \(0, 1\), got 0.0"),
+    (0.8, None, "delta must be a real number, got None"),
+])
+def test_discount_rule(site, beta, delta, match):
+    """beta in (0, 1], delta in (0, 1), both real numbers."""
+    if match is None:
+        DISCOUNT_SITES[site](beta, delta)
+        return
+    with pytest.raises(InvalidInputError, match=match):
+        DISCOUNT_SITES[site](beta, delta)
+
+
+# (name in the message, valid value, call); transitions are (2, 3, 3)
+DISTRIBUTION_SITES = {
+    "ModelSpec.transitions": ("transitions", RULE_MODEL.transitions, with_transitions),
+    "build_pair_system": ("transitions", RULE_MODEL.transitions,
+                          lambda f: build_pair_system(f, RULE_MODEL.equality_pairs)),
+    "fit_mle": ("transitions", RULE_MODEL.transitions,
+                lambda f: fit_mle(RULE_PANEL, RULE_SPEC, f, RULE_FIT)),
+    "log_likelihood": ("transitions", RULE_MODEL.transitions,
+                       lambda f: log_likelihood(RULE_PANEL, RULE_SPEC, (0.0, 0.0),
+                                                0.8, 0.9, f)),
+    "choice_values": ("transitions", RULE_MODEL.transitions,
+                      lambda f: choice_values(RULE_MODEL.utility, f, 0.8, 0.9, np.ones(3))),
+    "check_model macro": ("macro_transitions", np.array([[0.3, 0.7], [0.6, 0.4]]),
+                          lambda h: check_model(RULE_MODEL, macro_transitions=h)),
+    "simulate_panel initial_dist": (
+        "initial_dist", np.array([0.2, 0.3, 0.5]),
+        lambda p: simulate_panel(RULE_MODEL, solve_backward(RULE_MODEL), 50,
+                                 initial_dist=p)),
+    "McConfig initial_dist": ("initial_dist", np.array([0.2, 0.3, 0.5]),
+                              lambda p: McConfig(num_states=3, initial_dist=tuple(p))),
+}
+
+
+def nan_entry(v):
+    v = v.copy()
+    v.flat[0] = np.nan
+    return v
+
+
+def negative_entry(v):
+    v = v.copy()
+    v.flat[0] -= 0.8
+    v.flat[1] += 0.8
+    return v
+
+
+@pytest.mark.parametrize("site", sorted(DISTRIBUTION_SITES))
+@pytest.mark.parametrize("mutate,match", [
+    (nan_entry, "must be finite everywhere"),
+    (negative_entry, "must be non-negative"),
+    (lambda v: 2.0 * v, "must sum to 1 within"),
+    (lambda v: "x", "must be numeric"),
+])
+def test_distribution_rule(site, mutate, match):
+    """Input distributions are finite, non-negative rows summing to 1."""
+    name, valid, call = DISTRIBUTION_SITES[site]
+    call(valid)
+    with pytest.raises(InvalidInputError, match=f"{name} {match}"):
+        call(mutate(valid))
+
+
+TRANSITION_SITES = {
+    "ModelSpec": lambda f: with_transitions(f).transitions,
+    "choice_values": lambda f: choice_values(RULE_MODEL.utility, f, 0.8, 0.9, np.ones(3)),
+    "build_pair_system": lambda f: build_pair_system(f, RULE_MODEL.equality_pairs).F,
+    "fit_mle": lambda f: fit_mle(RULE_PANEL, RULE_SPEC, f, RULE_FIT).loglik,
+    "log_likelihood": lambda f: log_likelihood(RULE_PANEL, RULE_SPEC, (0.0, 0.0),
+                                               0.8, 0.9, f),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TRANSITION_SITES))
+def test_transition_rule(site):
+    """Transitions are a (K, J, J) tensor, given as such or as an estimate's
+    ``f_hat``."""
+    call = TRANSITION_SITES[site]
+    estimate = estimate_transitions(RULE_PANEL, 3, 2)
+    assert_array_equal(call(estimate), call(estimate.f_hat))
+    with pytest.raises(InvalidInputError, match="transitions must have shape"):
+        call(estimate.f_hat[:, :2])
+    with pytest.raises(InvalidInputError, match="transitions must have shape"):
+        call(estimate.f_hat[0])
+
+
+PAIR_SITES = {
+    "ModelSpec": lambda pairs: ModelSpec(
+        num_states=3, num_actions=2, horizon=4, beta=0.8, delta=0.9,
+        utility=np.zeros((2, 3)), transitions=RULE_MODEL.transitions,
+        equality_pairs=pairs).equality_pairs,
+    "build_pair_system": lambda pairs: build_pair_system(RULE_MODEL.transitions,
+                                                         pairs).pairs,
+    "inclusive_value_gaps": lambda pairs: inclusive_value_gaps(
+        solve_backward(RULE_MODEL), pairs),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PAIR_SITES))
+@pytest.mark.parametrize("pairs,match", [
+    ([[0, 1, 0, 0], ["1", 0, 1.0, 1]], None),
+    ([(0, 1, 0)], r"equality pair \(0, 1, 0\) must be 4 integers"),
+    ([(0, 1, 0, 0, 1)], "must be 4 integers"),
+    ([(0, 1, "a", 0)], "must be 4 integers"),
+    ([7], "equality pair 7 must be 4 integers"),
+    ([(0, 2, 0, 0)], r"equality pair \(0, 2, 0, 0\) is out of range for K=2, J=3"),
+    ([(0, 1, 0, -1)], "is out of range for K=2, J=3"),
+])
+def test_pair_rule(site, pairs, match):
+    """Pairs are four integers indexing actions and states."""
+    if match is None:
+        normalized = tuple((int(k), int(l), int(x1), int(x2)) for k, l, x1, x2 in pairs)
+        assert_array_equal(PAIR_SITES[site](pairs), PAIR_SITES[site](normalized))
+        return
+    with pytest.raises(InvalidInputError, match=match):
+        PAIR_SITES[site](pairs)
+
+
+STATE_VALUE_SITES = {
+    "ModelSpec": lambda sv: ModelSpec(
+        num_states=5, num_actions=2, horizon=4, beta=0.8, delta=0.9,
+        utility=np.zeros((2, 5)), transitions=np.full((2, 5, 5), 0.2),
+        state_values=sv).state_values,
+    "UtilitySpec": lambda sv: UtilitySpec(form="linear_in_state", num_actions=2,
+                                          num_states=5, state_values=sv).state_values,
+    # the design's payoff is alpha0 + alpha1 * state value, with alpha1 = -0.2
+    "McConfig": lambda sv: (McConfig(num_states=5, state_values=sv).utility_table()[0]
+                            - 0.5) / -0.2,
+}
+
+
+@pytest.mark.parametrize("site", sorted(STATE_VALUE_SITES))
+@pytest.mark.parametrize("state_values,match", [
+    (None, None),
+    ((0.0, 1.0), r"state_values must have shape \(5,\), got \(2,\)"),
+    ((0.0, 1.0, np.nan, 3.0, 4.0), "state_values must be finite everywhere"),
+    ("x", "state_values must be numeric"),
+])
+def test_state_value_rule(site, state_values, match):
+    """State covariates are J finite numbers, 0 .. J-1 by default."""
+    if match is None:
+        assert_allclose(STATE_VALUE_SITES[site](state_values), np.arange(5.0),
+                        rtol=0, atol=1e-12)
+        return
+    with pytest.raises(InvalidInputError, match=match):
+        STATE_VALUE_SITES[site](state_values)
