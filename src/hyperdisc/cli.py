@@ -38,7 +38,7 @@ from .identification import (
 )
 from .montecarlo import run_replications, summarize
 from .simulation import empirical_ccps, estimate_transitions, simulate_panel
-from .model import solve_backward
+from .model import _as_float_array, solve_backward
 
 SEED_ENV_VAR = "HYPERDISC_SEED"
 
@@ -103,7 +103,13 @@ def _parse_anchor(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise InvalidInputError("--anchor must be action,state,value")
-    return int(parts[0]), int(parts[1]), float(parts[2])
+    try:
+        action, state = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InvalidInputError(
+            f"--anchor action and state must be integers, got {text!r}"
+        ) from None
+    return action, state, float(_as_float_array(parts[2], "--anchor value"))
 
 
 def _parse_pairs(text):

@@ -13,13 +13,19 @@ m))``, so no probability is exponentiated and re-logged on the way to
 the objective.  The same recursion carries the forward-mode derivatives
 of the log CCPs, which gives the exact score at once.
 
-The search runs on the natural parameters ``(theta_u, beta, delta)``
-with L-BFGS-B and the exact gradient, inside a box: utility
-coefficients are free, ``beta`` lies in ``[DISCOUNT_FLOOR, 1]`` and
-``delta`` in ``[DISCOUNT_FLOOR, nextafter(1, 0)]``.  So ``beta = 1``
-(exponential discounting) can be reached, and an estimate on an edge of
-the box is reported as such.  Each configured start runs an independent
-local search, and the best final point over all starts is reported.
+The likelihood is flat and curved along a ridge in (beta, delta), and
+it can have more than one local maximum there, so the search is global
+in those two factors and local in the rest.  A profile screen first
+evaluates the likelihood on a fixed (beta, delta) grid, maximized over
+the utility coefficients by a few Fisher-scoring steps at every grid
+point, all grid points in one batched pass of the backward kernel per
+step.  L-BFGS-B with the exact gradient then polishes from every local
+maximum of that profile, on the natural parameters ``(theta_u, beta,
+delta)`` inside a box: utility coefficients are free, ``beta`` lies in
+``[DISCOUNT_FLOOR, 1]`` and ``delta`` in ``[DISCOUNT_FLOOR,
+nextafter(1, 0)]``.  So ``beta = 1`` (exponential discounting) can be
+reached, and an estimate on an edge of the box is reported as such.
+The best polish is the estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInputError, NonConvergenceError
-from .model import _backward_core, _check_discounts, _check_transitions, _state_values
+from .model import (
+    _as_float_array,
+    _backward_core,
+    _check_discounts,
+    _check_int,
+    _check_transitions,
+    _state_values,
+)
 from .simulation import PanelData, empirical_ccps
 
 # Lower edge of both discount factors in the search box; it must be
@@ -44,6 +57,20 @@ from .simulation import PanelData, empirical_ccps
 # is left at an arbitrary value.
 DISCOUNT_FLOOR = 1e-4
 _DELTA_HI = np.nextafter(1.0, 0.0)
+
+# The profile screen's values of each free discount factor: dense near
+# the floor, where beta * delta near 0 can put a second maximum, and
+# ending on the top edge of the box.
+_SCREEN_INTERIOR = (1e-4, 1e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                    0.8, 0.9, 0.95)
+SCREEN_BETAS = _SCREEN_INTERIOR + (1.0,)
+SCREEN_DELTAS = _SCREEN_INTERIOR + (float(_DELTA_HI),)
+# Fisher-scoring steps on theta_u, from theta_u = 0, at every grid point.
+SCREEN_STEPS = 8
+# A search that ends with a larger projected score is restarted from its
+# end point, at most MAX_RESTARTS times.
+RESTART_SCORE = 1e-3
+MAX_RESTARTS = 2
 
 LINEAR_IN_STATE = "linear_in_state"
 FREE_TABLE = "free_table"
@@ -151,38 +178,26 @@ def log_likelihood(panel: PanelData, utility_spec: UtilitySpec, theta_u,
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Start pattern, tolerances and fixed parameters for ``fit_mle``.
+    """Starts, tolerances and fixed parameters for ``fit_mle``.
 
-    By default the starts form a grid: utility parameters at
-    ``theta_start_scale`` times ``theta_ref`` crossed with every
-    combination of ``beta_starts`` and ``delta_starts``, ``beta``
-    varying slowest.  The last value of each default grid lies near an
-    edge: ``beta = 0.01`` is strong present bias, ``delta = 0.999`` near
-    full patience.  Where the data put ``beta * delta`` near 0, the
-    likelihood can have one local maximum at a small ``beta`` with
-    ``delta`` near 1 and another at ``beta = 1`` or on the floor;
-    searches from the interior starts lower both factors together and
-    can miss the first, which the search from ``(0.01, 0.999)`` reaches.
-
-    Explicit ``starts`` (a sequence of ``(theta_u, beta, delta)``
-    triples) override the grid.  ``fixed_parameters`` may pin ``beta``
-    or ``delta`` (for example ``{"beta": 1.0}`` for plain exponential
-    discounting); a fixed value becomes equal lower and upper bounds,
-    which takes it out of the search.
+    By default the searches start from the local maxima of the profile
+    screen described in ``fit_mle``.  Explicit ``starts``, a sequence
+    of ``(theta_u, beta, delta)`` triples of finite numbers, replace the
+    screen: each is polished in turn.  ``fixed_parameters`` may pin
+    ``beta`` or ``delta`` (for example ``{"beta": 1.0}`` for plain
+    exponential discounting); a fixed value collapses the screen's axis
+    of that factor to the value and becomes equal lower and upper
+    bounds, which takes it out of the search.
 
     L-BFGS-B stops when the largest entry of the projected score is at
     most ``param_tol`` (its ``gtol``), or when a step raises the log
     likelihood by at most ``objective_tol`` times the mean negative log
     likelihood per observation (``ftol = objective_tol / number of
     observations``, as L-BFGS-B's test is relative to the objective's
-    size).  It takes at most ``max_iterations`` iterations and
-    ``2 * max_iterations`` objective evaluations per start.
+    size).  Each search takes at most ``max_iterations`` iterations and
+    ``2 * max_iterations`` objective evaluations.
     """
 
-    theta_ref: tuple = ()
-    theta_start_scale: float = 0.95
-    beta_starts: tuple = (0.7, 0.8, 0.9, 0.01)
-    delta_starts: tuple = (0.7, 0.8, 0.9, 0.999)
     starts: tuple | None = None
     param_tol: float = 1e-8
     objective_tol: float = 1e-10
@@ -196,41 +211,47 @@ class MleConfig:
                 raise InvalidInputError(f"cannot fix unknown parameter {key!r}")
         # a factor left free is checked at an admissible stand-in
         _check_discounts(fixed.get("beta", 1.0), fixed.get("delta", 0.5), "fixed ")
-
-    def start_points(self, n_theta: int):
-        if self.starts is not None:
-            pts = [(np.asarray(t, dtype=float), float(b), float(d))
-                   for (t, b, d) in self.starts]
-        else:
-            theta0 = self.theta_start_scale * np.asarray(self.theta_ref, dtype=float)
-            if theta0.shape != (n_theta,):
+        if _check_int(self.max_iterations, "max_iterations") < 1:
+            raise InvalidInputError("max_iterations must be at least 1")
+        if self.starts is None:
+            return
+        starts = []
+        for start in self.starts:
+            try:
+                theta, beta, delta = start
+            except (TypeError, ValueError):
                 raise InvalidInputError(
-                    f"theta_ref must supply {n_theta} reference values"
-                )
-            betas = ([self.fixed_parameters["beta"]]
-                     if "beta" in self.fixed_parameters else list(self.beta_starts))
-            deltas = ([self.fixed_parameters["delta"]]
-                      if "delta" in self.fixed_parameters else list(self.delta_starts))
-            pts = [(theta0.copy(), float(b), float(d)) for b in betas for d in deltas]
-        if not pts:
+                    f"start {start!r} must be a (theta_u, beta, delta) triple"
+                ) from None
+            theta = _as_float_array(theta, "start theta_u")
+            if theta.ndim != 1:
+                raise InvalidInputError("start theta_u must be a flat sequence of numbers")
+            beta, delta = _as_float_array((beta, delta), "start beta and delta")
+            starts.append((tuple(theta.tolist()), float(beta), float(delta)))
+        if not starts:
             raise InvalidInputError("at least one start point is required")
-        return pts
+        object.__setattr__(self, "starts", tuple(starts))
 
 
 @dataclass(frozen=True)
 class StartRecord:
-    """Bookkeeping for one optimizer start.
+    """Bookkeeping for one polish: an L-BFGS-B search with its restarts.
 
-    ``beta_start`` and ``delta_start`` are the start as searched, that
-    is, moved onto the box.  ``converged`` is the optimizer's own
-    success flag; ``at_bound`` names the estimated discount factors
-    (``"beta"``, ``"delta"``) that finish on an edge of the search box.
+    ``theta_start``, ``beta_start`` and ``delta_start`` are the start as
+    searched, that is, moved onto the box.  ``converged`` and
+    ``message`` are the last search's own success flag and termination
+    reason; ``iterations`` and ``n_evaluations`` add up every search of
+    the polish, and ``restarts`` counts the searches after the first.
+    ``at_bound`` names the estimated discount factors (``"beta"``,
+    ``"delta"``) that finish on an edge of the search box.
     ``projected_score`` is the largest absolute entry of the log
-    likelihood's score at the start's end point, with the entries of
-    fixed parameters and of coordinates on an edge whose score points
-    out of the box set to zero; it is about 0 at a stationary point of
-    the box.  A start can stop on the relative-reduction test while it
-    is well above ``param_tol``, as on a flat ridge in (beta, delta).
+    likelihood's score at the end point, with the entries of fixed
+    parameters and of coordinates on an edge whose score points out of
+    the box set to zero; it is about 0 at a stationary point of the box.
+    A search can stop on the relative-reduction test while it is well
+    above ``param_tol``, as on a flat ridge in (beta, delta); one that
+    ends above ``RESTART_SCORE`` is restarted from its end point, at
+    most ``MAX_RESTARTS`` times.
     """
 
     index: int
@@ -244,11 +265,18 @@ class StartRecord:
     message: str
     at_bound: tuple
     projected_score: float
+    restarts: int
 
 
 @dataclass(frozen=True)
 class MleResult:
-    """Best point over all starts plus the per-start records."""
+    """Best point over all polishes plus the per-polish records.
+
+    ``profile_betas`` and ``profile_deltas`` are the screen's grid axes
+    and ``profile_loglik`` (one row per beta) the profile log
+    likelihood on it; all three are None when explicit starts replaced
+    the screen.
+    """
 
     theta_u_hat: np.ndarray
     beta_hat: float
@@ -256,6 +284,9 @@ class MleResult:
     loglik: float
     per_start: tuple
     best_start_index: int
+    profile_betas: tuple | None = None
+    profile_deltas: tuple | None = None
+    profile_loglik: np.ndarray | None = None
 
 
 def _box(n_theta: int, fixed_parameters: dict):
@@ -273,19 +304,83 @@ def _box(n_theta: int, fixed_parameters: dict):
     )
 
 
+def _scoring_step(counts, theta, dutility, transitions, beta, delta):
+    """One Fisher-scoring step on theta_u at every grid point at once.
+
+    Row g of ``theta`` holds theta_u at ``(beta[g], delta[g])``.  The
+    scoring matrix is ``sum_{t,x} n_tx sum_a P dlogP dlogP^T`` over the
+    theta_u directions, the expected information at the observed state
+    counts ``n_tx``; its pseudo-inverse steps by zero along a direction
+    the data leave undetermined, such as an unvisited state of a free
+    table.
+    """
+    _, _, logP, dlogP = _backward_core(np.einsum("gi,iax->agx", theta, dutility),
+                                       transitions, beta, delta, counts.shape[0],
+                                       dutility, discounts=False)
+    score = np.einsum("tax,tiagx->gi", counts, dlogP)
+    weight = np.exp(logP)
+    weight *= counts.sum(axis=1)[:, None, None, :]
+    info = np.einsum("tiagx,tjagx->gij", dlogP * weight[:, None], dlogP)
+    return theta + (np.linalg.pinv(info, hermitian=True) @ score[..., None])[..., 0]
+
+
+def _profile_screen(counts, dutility, transitions, betas, deltas):
+    """The profile log likelihood on the grid ``betas`` x ``deltas``.
+
+    At every grid point ``SCREEN_STEPS`` scoring steps
+    (``_scoring_step``) on theta_u start from theta_u = 0, each one
+    batched kernel pass over the whole grid.  Returns the final theta_u,
+    shape (grid points, p), and the profile there, shape (len(betas),
+    len(deltas)), both with beta varying slowest.
+    """
+    beta = np.repeat(betas, len(deltas))
+    delta = np.tile(deltas, len(betas))
+    theta = np.zeros((beta.size, dutility.shape[0]))
+    for _ in range(SCREEN_STEPS):
+        theta = _scoring_step(counts, theta, dutility, transitions, beta, delta)
+    logP = _backward_core(np.einsum("gi,iax->agx", theta, dutility), transitions,
+                          beta, delta, counts.shape[0])[2]
+    profile = np.einsum("tax,tagx->g", counts, logP)
+    return theta, profile.reshape(len(betas), len(deltas))
+
+
+def _local_maxima(profile):
+    """Grid points of finite profile at least as high as each of their
+    up to eight neighbours."""
+    nb, nd = profile.shape
+    padded = np.pad(profile, 1, constant_values=-np.inf)
+    peak = np.isfinite(profile)
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                peak &= profile >= padded[i:i + nb, j:j + nd]
+    return peak
+
+
 def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             config: MleConfig = MleConfig()) -> MleResult:
-    """Maximize the choice-block likelihood from every configured start.
+    """Maximize the choice-block likelihood: a profile screen over
+    (beta, delta), then a local polish from each of its maxima.
 
-    Deterministic given the panel and configuration: starts run in a
-    fixed order, each through L-BFGS-B on ``(theta_u, beta, delta)``
-    with the exact score, in the box of ``_box`` and with the stopping
-    rules of ``MleConfig``.  A start outside the box is moved onto it.
-    Ties in the final log likelihood are broken by the lowest start
-    index.  ``transitions`` is a (K, J, J) tensor of probability rows
-    or an estimate carrying one in ``f_hat``.  Raises
-    ``NonConvergenceError`` (carrying all per-start records) only if no
-    start converges.
+    The screen (``_profile_screen``) runs on the grid ``SCREEN_BETAS`` x
+    ``SCREEN_DELTAS``, an axis of one value for a fixed factor.  A
+    polish is an L-BFGS-B search on ``(theta_u, beta, delta)`` with the
+    exact score, in the box of ``_box`` and with the stopping rules of
+    ``MleConfig``, restarted from its end point while its projected
+    score stays above ``RESTART_SCORE``, at most ``MAX_RESTARTS``
+    times.  It starts from every grid point whose profile is at least
+    that of each neighbour, in descending profile order with ties to
+    the lower grid index.  If none of them converges, the other grid
+    points follow in the same order until one does.  Explicit
+    ``config.starts`` replace the screen and are polished in the given
+    order; a start outside the box is moved onto it.
+
+    Deterministic given the panel and configuration.  The estimate is
+    the polish with the highest final log likelihood, ties to the
+    lowest polish index.  ``transitions`` is a (K, J, J) tensor of
+    probability rows or an estimate carrying one in ``f_hat``.  Raises
+    ``NonConvergenceError`` (carrying every polish record) only if no
+    polish converges.
     """
     # imported here to keep SciPy off the package's import path
     from scipy import optimize
@@ -296,7 +391,8 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     n_theta = utility_spec.n_params
     # build_utility is linear, so its Jacobian is the table of each unit vector
     dutility = np.stack([utility_spec.build_utility(e) for e in np.eye(n_theta)])
-    box = _box(n_theta, config.fixed_parameters)
+    fixed = config.fixed_parameters
+    box = _box(n_theta, fixed)
     options = {
         "gtol": config.param_tol,
         "ftol": config.objective_tol / max(float(counts.sum()), 1.0),
@@ -311,35 +407,64 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
 
     records = []
     finals = []
-    for idx, (theta0, b0, d0) in enumerate(config.start_points(n_theta)):
-        x0 = np.clip(np.concatenate([theta0, [b0, d0]]), box.lb, box.ub)
-        res = optimize.minimize(negloglik, x0, jac=True, method="L-BFGS-B",
-                                bounds=box, options=options)
-        theta_hat = res.x[:n_theta].copy()
-        beta_hat, delta_hat = float(res.x[n_theta]), float(res.x[n_theta + 1])
-        at_bound = tuple(
-            nm for i, nm in enumerate(("beta", "delta"), n_theta)
-            if nm not in config.fixed_parameters and res.x[i] in (box.lb[i], box.ub[i])
-        )
-        # res.jac is the gradient of -loglik at res.x; a fixed parameter
-        # has both edges active, so its entry is always blocked
-        score = -res.jac
-        blocked = ((box.lb == box.ub) | ((res.x <= box.lb) & (score < 0.0))
-                   | ((res.x >= box.ub) & (score > 0.0)))
+
+    def polish(theta0, beta0, delta0):
+        x0 = np.clip(np.concatenate([theta0, [beta0, delta0]]), box.lb, box.ub)
+        x, iterations, evaluations = x0, 0, 0
+        for restarts in range(MAX_RESTARTS + 1):
+            res = optimize.minimize(negloglik, x, jac=True, method="L-BFGS-B",
+                                    bounds=box, options=options)
+            x = res.x
+            iterations += int(res.nit)
+            evaluations += int(res.nfev)
+            # res.jac is the gradient of -loglik at x; a fixed parameter
+            # has both edges active, so its entry is always blocked
+            score = -res.jac
+            blocked = ((box.lb == box.ub) | ((x <= box.lb) & (score < 0.0))
+                       | ((x >= box.ub) & (score > 0.0)))
+            projected = float(np.abs(np.where(blocked, 0.0, score)).max())
+            if projected <= RESTART_SCORE:
+                break
         records.append(StartRecord(
-            index=idx,
-            theta_start=tuple(float(v) for v in theta0),
+            index=len(records),
+            theta_start=tuple(float(v) for v in x0[:n_theta]),
             beta_start=float(x0[n_theta]),
             delta_start=float(x0[n_theta + 1]),
             converged=bool(res.success),
             loglik=-float(res.fun),
-            iterations=int(res.nit),
-            n_evaluations=int(res.nfev),
+            iterations=iterations,
+            n_evaluations=evaluations,
             message=str(res.message),
-            at_bound=at_bound,
-            projected_score=float(np.abs(np.where(blocked, 0.0, score)).max()),
+            at_bound=tuple(
+                nm for i, nm in enumerate(("beta", "delta"), n_theta)
+                if nm not in fixed and x[i] in (box.lb[i], box.ub[i])
+            ),
+            projected_score=projected,
+            restarts=restarts,
         ))
-        finals.append((theta_hat, beta_hat, delta_hat))
+        finals.append(x)
+
+    profile = None
+    if config.starts is not None:
+        for theta0, beta0, delta0 in config.starts:
+            if len(theta0) != n_theta:
+                raise InvalidInputError(
+                    f"every start must supply {n_theta} utility parameters"
+                )
+            polish(np.array(theta0), beta0, delta0)
+    else:
+        betas = np.array([fixed["beta"]] if "beta" in fixed else SCREEN_BETAS, float)
+        deltas = np.array([fixed["delta"]] if "delta" in fixed else SCREEN_DELTAS, float)
+        thetas, profile = _profile_screen(counts, dutility, f, betas, deltas)
+        ranked = np.where(np.isfinite(profile), profile, -np.inf).ravel()
+        order = np.argsort(-ranked, kind="stable")
+        peak = _local_maxima(profile).ravel()
+        n_peaks = int(peak.sum())
+        queue = np.concatenate([order[peak[order]], order[~peak[order]]])
+        for n, g in enumerate(queue):
+            if n >= n_peaks and any(r.converged for r in records):
+                break
+            polish(thetas[g], betas[g // len(deltas)], deltas[g % len(deltas)])
 
     if not any(r.converged for r in records):
         raise NonConvergenceError(
@@ -347,12 +472,15 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             records=records,
         )
     best = max(range(len(records)), key=lambda i: (records[i].loglik, -i))
-    theta_hat, beta_hat, delta_hat = finals[best]
+    x = finals[best]
     return MleResult(
-        theta_u_hat=theta_hat,
-        beta_hat=beta_hat,
-        delta_hat=delta_hat,
+        theta_u_hat=x[:n_theta],
+        beta_hat=float(x[n_theta]),
+        delta_hat=float(x[n_theta + 1]),
         loglik=records[best].loglik,
         per_start=tuple(records),
         best_start_index=best,
+        profile_betas=None if profile is None else tuple(betas.tolist()),
+        profile_deltas=None if profile is None else tuple(deltas.tolist()),
+        profile_loglik=profile,
     )

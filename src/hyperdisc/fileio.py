@@ -184,21 +184,22 @@ def estimation_config_from_dict(data: dict):
         reference_action=data.get("reference_action"),
     )
     # only the keys the document sets reach MleConfig, which holds the defaults
-    options = {key: data[key] for key in ("theta_ref", "theta_start_scale", "beta_starts",
-                                          "delta_starts", "max_iterations", "fixed_parameters")
+    # keys of the removed start grid (theta_ref, theta_start_scale,
+    # beta_starts, delta_starts) are ignored like any other unknown key
+    options = {key: data[key] for key in ("max_iterations", "fixed_parameters")
                if key in data}
-    for key in ("theta_ref", "beta_starts", "delta_starts"):
-        if key in options:
-            options[key] = tuple(options[key])
     tol = data.get("tolerances", {})
     for key, attr in (("parameter", "param_tol"), ("objective", "objective_tol")):
         if key in tol:
             options[attr] = tol[key]
     if data.get("starts") is not None:
-        options["starts"] = tuple(
-            (np.asarray(s["theta_u"], dtype=float), s["beta"], s["delta"])
-            for s in data["starts"]
-        )
+        try:
+            options["starts"] = tuple((s["theta_u"], s["beta"], s["delta"])
+                                      for s in data["starts"])
+        except (KeyError, TypeError):
+            raise InvalidInputError(
+                'every start must be an object with "theta_u", "beta" and "delta"'
+            ) from None
     config = MleConfig(**options)
     return spec, config
 
@@ -250,6 +251,11 @@ def mle_report(result) -> dict:
         "loglik": result.loglik,
         "best_start_index": result.best_start_index,
         "per_start": [asdict(r) for r in result.per_start],
+        "profile": None if result.profile_loglik is None else {
+            "beta": list(result.profile_betas),
+            "delta": list(result.profile_deltas),
+            "loglik": result.profile_loglik.tolist(),
+        },
     }
 
 

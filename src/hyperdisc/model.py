@@ -62,6 +62,14 @@ def _as_float_array(value, name, shape=None):
 
 # One validator per input rule; every entry point taking the input calls it.
 
+def _check_int(value, name):
+    """``value`` as an int; it must be an integer, not a bool, a float
+    or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_discounts(beta, delta, prefix=""):
     """Raise unless ``beta`` is a real number in (0, 1] and ``delta`` one
     in (0, 1); ``prefix`` starts the message."""
@@ -259,7 +267,8 @@ def choice_values(utility, transitions, beta, delta, v_next):
     return u + beta * delta * (f @ _as_float_array(v_next, "v_next", (J,)))
 
 
-def _backward_core(utility, transitions, beta, delta, horizon, dutility=None):
+def _backward_core(utility, transitions, beta, delta, horizon, dutility=None,
+                   discounts=True):
     """Backward induction kernel shared by the solver and the likelihood.
 
     Returns ``(V, W, logP)``; the caller exponentiates ``logP`` when
@@ -268,64 +277,93 @@ def _backward_core(utility, transitions, beta, delta, horizon, dutility=None):
     likelihood evaluation never takes the log of an underflowed
     probability and large payoffs lose no absolute precision.
 
+    With ``beta`` and ``delta`` of shape (B,) and ``utility`` of shape
+    (K, B, J), the kernel solves B models that share the transitions in
+    one pass, and every output gains a batch axis just before its state
+    axis: ``V`` (T, B, J), ``W`` and ``logP`` (T, K, B, J).  Each member
+    is the same sequence of operations as its own unbatched call, so the
+    two agree bit for bit; an unbatched call is the batch of one.
+
     With ``dutility``, the (p, K, J) derivative of the payoff table with
     respect to p utility parameters, the same loop also carries the
     forward-mode derivatives of ``V`` in p + 2 directions (the p
     parameters, then ``beta``, then ``delta``) and returns
-    ``(V, W, logP, dlogP)`` with ``dlogP`` of shape (T, p + 2, K, J).
-    Per direction, with ``P = exp(logP)`` and ``ev = f @ V_next``:
+    ``(V, W, logP, dlogP)`` with ``dlogP`` of shape (T, p + 2, K, J),
+    or (T, p + 2, K, B, J) batched.  Per direction, with
+    ``P = exp(logP)`` and ``ev = f @ V_next``:
 
         dW   = du + d(beta delta) ev + beta delta dev
         dlse = sum_i P_i dW_i,    dlogP = dW - dlse
         dV   = dlse + d((1 - beta) delta) sum_i P_i ev_i
                + (1 - beta) delta sum_i P_i (dlogP_i ev_i + dev_i)
 
-    The value path is the same sequence of operations either way, so
-    ``V``, ``W`` and ``logP`` are bit-identical with or without it.
+    With ``discounts=False`` only the p parameter directions are carried
+    (``dlogP`` of shape (T, p, K, J)), for a caller that holds the
+    discount factors fixed.  The value path is the same sequence of
+    operations either way, so ``V``, ``W`` and ``logP`` are bit-identical
+    with or without derivatives.
     """
-    K, J = utility.shape
-    V = np.empty((horizon, J))
-    W = np.empty((horizon, K, J))
-    logP = np.empty((horizon, K, J))
+    K, J = transitions.shape[:2]
+    batched = np.ndim(beta) == 1
+    # a batch axis sits just before the state axis, so that every sum
+    # over actions adds whole (B, J) blocks
+    lead = np.shape(beta)
+    if batched:
+        beta = np.reshape(beta, (-1, 1))
+        delta = np.reshape(delta, (-1, 1))
+    V = np.empty((horizon,) + lead + (J,))
+    W = np.empty((horizon, K) + lead + (J,))
+    logP = np.empty((horizon, K) + lead + (J,))
     bd = beta * delta
     corr = (1.0 - beta) * delta
-    v_next = np.zeros(J)
+    # one matrix-vector product per action and member, as unbatched,
+    # into a buffer whose view is made once
+    f_v = transitions[:, None] if batched else transitions
+    v_col = np.zeros(lead + (J, 1))
+    v_next = v_col[..., 0]
+    ev_col = np.empty((K,) + lead + (J, 1))
+    ev = ev_col[..., 0]
     if dutility is not None:
         p = dutility.shape[0]
-        du = np.zeros((p + 2, K, J))
-        du[:p] = dutility
-        dbd = np.zeros((p + 2, 1, 1))
-        dbd[p:, 0, 0] = delta, beta
-        dcorr = np.zeros((p + 2, 1))
-        dcorr[p:, 0] = -delta, 1.0 - beta
+        n = p + 2 if discounts else p
+        du = np.zeros((n, K) + (1,) * len(lead) + (J,))
+        du[:p] = dutility.reshape(du[:p].shape)
+        # the discount directions enter through beta * delta and (1 - beta) * delta
+        dbd = np.zeros((n, 1) + lead + (1,))
+        dcorr = np.zeros((n,) + lead + (1,))
+        if discounts:
+            dbd[p, 0], dbd[p + 1, 0] = delta, beta
+            dcorr[p], dcorr[p + 1] = -delta, 1.0 - beta
         f_t = transitions.reshape(K * J, J).T
-        dv_next = np.zeros((p + 2, J))
-        dlogP = np.empty((horizon, p + 2, K, J))
+        # dev comes out member by member; order it direction, action, member
+        dev_shape = (n,) + lead + (K, J)
+        dev_axes = (0, 2, 1, 3) if batched else (0, 1, 2)
+        dv_next = np.zeros((n,) + lead + (J,))
+        dlogP = np.empty((horizon, n, K) + lead + (J,))
+    # ufunc reductions below: the ndarray methods cost an extra call each
     for t in range(horizon - 1, -1, -1):
-        ev = transitions @ v_next
+        np.matmul(f_v, v_col, ev_col)
         w = utility + bd * ev
-        m = w.max(axis=0)
+        m = np.maximum.reduce(w, 0)
         z = w - m
-        log_s = np.log(np.exp(z).sum(axis=0))
+        log_s = np.log(np.add.reduce(np.exp(z), 0))
         lp = z - log_s
         P = np.exp(lp)
         Pev = P * ev
-        pev_sum = Pev.sum(axis=0)
-        v_next = (m + log_s) + corr * pev_sum
+        pev_sum = np.add.reduce(Pev, 0)
+        np.add(m + log_s, corr * pev_sum, v_next)
         V[t] = v_next
         W[t] = w
         logP[t] = lp
         if dutility is not None:
-            dev = (dv_next @ f_t).reshape(-1, K, J)
+            dev = (dv_next.reshape(-1, J) @ f_t).reshape(dev_shape).transpose(dev_axes)
             dw = du + dbd * ev + bd * dev
-            dlse = (P * dw).sum(axis=1)
-            dlp = dw - dlse[:, None, :]
+            dlse = np.add.reduce(P * dw, 1)
+            dlp = dw - dlse[:, None]
             dv_next = (dlse + dcorr * pev_sum
-                       + corr * (Pev * dlp + P * dev).sum(axis=1))
+                       + corr * np.add.reduce(Pev * dlp + P * dev, 1))
             dlogP[t] = dlp
-    if dutility is None:
-        return V, W, logP
-    return V, W, logP, dlogP
+    return (V, W, logP) if dutility is None else (V, W, logP, dlogP)
 
 
 def solve_backward(model: ModelSpec, check=False) -> ValueSolution:

@@ -14,13 +14,21 @@ errors.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import MleConfig, UtilitySpec, fit_mle
 from .exceptions import EmptySummaryError, HyperdiscError, InvalidInputError
-from .model import ModelSpec, _as_float_array, _check_discounts, _state_values, solve_backward
+from .model import (
+    ModelSpec,
+    _as_float_array,
+    _check_discounts,
+    _check_int,
+    _state_values,
+    solve_backward,
+)
 from .simulation import (
     _initial_dist,
     derive_seed,
@@ -37,6 +45,9 @@ TRANSITION_STREAM = 1
 PANEL_STREAM = 2
 
 PARAMETERS = ("alpha0", "alpha1", "delta", "beta")
+
+# Thread-count variables of the BLAS libraries NumPy may be built on.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,18 @@ class McConfig:
     mle_max_iterations: int = 5000
 
     def __post_init__(self):
+        for name in ("num_states", "num_actions", "horizon", "n_replications", "n_jobs",
+                     "base_seed", "mle_max_iterations"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        try:
+            sizes = tuple(_check_int(n, "every sample size") for n in self.sample_sizes)
+        except TypeError:
+            raise InvalidInputError("sample_sizes must be a sequence of integers") from None
         if self.n_replications < 1:
             raise InvalidInputError("n_replications must be at least 1")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+        if self.mle_max_iterations < 1:
+            raise InvalidInputError("mle_max_iterations must be at least 1")
+        if not sizes or any(n < 1 for n in sizes):
             raise InvalidInputError("sample_sizes must be positive")
         if self.transition_seed_policy not in (FIXED_ACROSS_REPS, FRESH_PER_REP):
             raise InvalidInputError(
@@ -84,7 +104,7 @@ class McConfig:
         _as_float_array((self.alpha0, self.alpha1), "alpha0 and alpha1")
         _state_values(self.state_values, self.num_states)
         _initial_dist(self.initial_dist, self.num_states)
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", sizes)
 
     def utility_table(self) -> np.ndarray:
         u = np.zeros((self.num_actions, self.num_states))
@@ -206,13 +226,6 @@ def design_transitions(config: McConfig, replication_seed: int | None = None):
     return random_transitions(config.num_states, config.num_actions, seed)
 
 
-def _mle_config(config: McConfig) -> MleConfig:
-    return MleConfig(
-        theta_ref=(config.alpha0, config.alpha1),
-        max_iterations=config.mle_max_iterations,
-    )
-
-
 def run_one_replication(config: McConfig, replication: int,
                         sample_size: int) -> RepEstimate:
     """Generate one panel and estimate it; failures become markers.
@@ -237,7 +250,8 @@ def run_one_replication(config: McConfig, replication: int,
             num_states=config.num_states,
             state_values=model.state_values,
         )
-        result = fit_mle(panel, spec, f_hat, _mle_config(config))
+        result = fit_mle(panel, spec, f_hat,
+                         MleConfig(max_iterations=config.mle_max_iterations))
         return RepEstimate(
             replication=replication,
             sample_size=sample_size,
@@ -274,10 +288,24 @@ def run_replications(config: McConfig) -> list:
     if config.n_jobs <= 1:
         return [_run_task(t) for t in tasks]
     # imported here, so that serial runs never load multiprocessing
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=1))
+    # Workers with a BLAS thread pool each would oversubscribe the cores,
+    # so they start fresh (spawn) from an environment that asks for one
+    # BLAS thread; the parent's environment is restored afterwards.
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=config.n_jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_task, tasks, chunksize=1))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def summarize(estimates, true_values=None) -> McSummary:

@@ -132,6 +132,22 @@ class TestIdentifyCommand:
         assert report["in_range"]
         assert report["utilities_hat"] is not None
 
+    @pytest.mark.parametrize("anchor,message", [
+        ("a,0,0", "--anchor action and state must be integers"),
+        ("0,1.5,0", "--anchor action and state must be integers"),
+        ("0,0,x", "--anchor value must be numeric"),
+        ("0,0,nan", "--anchor value must be finite"),
+        ("0,0", "--anchor must be action,state,value"),
+    ])
+    def test_malformed_anchor_exits_2(self, tmp_path, model_file, capsys, anchor,
+                                      message):
+        out = tmp_path / "report.json"
+        code = main(["identify", "--model", str(model_file), "--anchor", anchor,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_canonical_design_diagnostic_run(self, tmp_path, model_file):
         # cross-state pairs: the run completes and surfaces the
         # inclusive-value gap instead of pretending exactness
@@ -219,7 +235,6 @@ class TestEstimateCommand:
         config_path.write_text(json.dumps({
             "num_states": 3, "num_actions": 2,
             "utility_form": "linear_in_state",
-            "theta_ref": [0.5, -0.2],
         }))
         out = tmp_path / "mle.json"
         code = main(["estimate", "--panel", str(panel_path),
@@ -229,7 +244,13 @@ class TestEstimateCommand:
         # beta = 1 is admissible and this panel's fit reaches it
         assert 0.0 < report["beta_hat"] <= 1.0
         assert 0.0 < report["delta_hat"] < 1.0
-        assert len(report["per_start"]) == 16
+        # the profile screen's surface, and one record per polish of its maxima
+        profile = report["profile"]
+        assert len(profile["beta"]) == len(profile["delta"]) == 15
+        assert len(profile["loglik"]) == 15
+        assert all(len(row) == 15 for row in profile["loglik"])
+        assert 1 <= len(report["per_start"]) <= 15 * 15
+        assert all(r["restarts"] >= 0 for r in report["per_start"])
         best = report["per_start"][report["best_start_index"]]
         assert ("beta" in best["at_bound"]) == (report["beta_hat"] == 1.0)
         assert all(r["projected_score"] >= 0.0 for r in report["per_start"])
@@ -245,8 +266,9 @@ class TestEstimateCommand:
               "--seed", "5", "--out", str(panel_path)])
         config_path = tmp_path / "est.json"
         config_path.write_text(json.dumps({
-            "num_states": 3, "num_actions": 2, "theta_ref": [0.5, -0.2],
-            "max_iterations": 1,
+            "num_states": 3, "num_actions": 2, "max_iterations": 1,
+            # zero tolerances: no search can stop early on a test it passes
+            "tolerances": {"parameter": 0.0, "objective": 0.0},
         }))
         code = main(["estimate", "--panel", str(panel_path),
                      "--config", str(config_path),

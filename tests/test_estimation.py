@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from hyperdisc import (
     simulate_panel,
     solve_backward,
 )
-from hyperdisc.estimation import DISCOUNT_FLOOR, _box, _choice_loglik
+from hyperdisc.estimation import (
+    DISCOUNT_FLOOR,
+    RESTART_SCORE,
+    SCREEN_BETAS,
+    SCREEN_DELTAS,
+    _box,
+    _choice_loglik,
+)
 from hyperdisc.simulation import empirical_ccps, estimate_transitions
 from conftest import make_random_model
 
@@ -112,22 +120,25 @@ class TestSearchBox:
         # nearly myopic data (beta * delta = 0.045): every start reaches a
         # floor edge, where the other factor is not identified, and moves
         # along it to the (floor, floor) corner.  With a floor of 1e-8 the
-        # slope along the edge is below the gradient tolerance and the
-        # searches stop at scattered points of the edges.
+        # slope along the edge is below the gradient tolerance and searches
+        # from the start grid this fit used to run stopped at scattered
+        # points of the edges.
         _, panel, spec, f_hat = TestFitMle().make_problem(seed=1, n_agents=300,
                                                           beta=0.05, delta=0.9)
-        config = MleConfig(theta_ref=(0.6, -0.25))
-        result = fit_mle(panel, spec, f_hat, config)
-        assert result.beta_hat == result.delta_hat == DISCOUNT_FLOOR
-        assert all(r.at_bound == ("beta", "delta") for r in result.per_start)
+        starts = tuple((np.array([0.57, -0.2375]), b, d)
+                       for b in (0.7, 0.8, 0.9, 0.01) for d in (0.7, 0.8, 0.9, 0.999))
+        for config in (MleConfig(), MleConfig(starts=starts)):
+            result = fit_mle(panel, spec, f_hat, config)
+            assert result.beta_hat == result.delta_hat == DISCOUNT_FLOOR
+            assert all(r.at_bound == ("beta", "delta") for r in result.per_start)
         monkeypatch.setattr("hyperdisc.estimation.DISCOUNT_FLOOR", 1e-8)
-        low = fit_mle(panel, spec, f_hat, config)
+        low = fit_mle(panel, spec, f_hat, MleConfig(starts=starts))
         assert sum(r.at_bound == ("beta", "delta") for r in low.per_start) < 3
 
     def test_at_bound_names_the_discount_factors_on_an_edge(self):
         for seed in range(4):
             _, panel, spec, f_hat = TestFitMle().make_problem(seed=seed, n_agents=300)
-            result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+            result = fit_mle(panel, spec, f_hat)
             for record in result.per_start:
                 assert set(record.at_bound) <= {"beta", "delta"}
             best = result.per_start[result.best_start_index].at_bound
@@ -194,7 +205,7 @@ class TestExactScore:
         # with beta fixed the search covers (theta_u, delta); the score's
         # free entries agree with the differences and vanish at the optimum
         _, panel, spec, f_hat = TestFitMle().make_problem(seed=0, n_agents=800)
-        config = MleConfig(theta_ref=(0.6, -0.25), fixed_parameters={"beta": 0.8})
+        config = MleConfig(fixed_parameters={"beta": 0.8})
         result = fit_mle(panel, spec, f_hat, config)
         assert result.beta_hat == 0.8
         assert all(r.at_bound == () for r in result.per_start)
@@ -358,24 +369,61 @@ class TestFitMle:
 
     def test_determinism(self):
         _, panel, spec, f_hat = self.make_problem(seed=3)
-        config = MleConfig(theta_ref=(0.6, -0.25))
-        a = fit_mle(panel, spec, f_hat, config)
-        b = fit_mle(panel, spec, f_hat, config)
+        a = fit_mle(panel, spec, f_hat)
+        b = fit_mle(panel, spec, f_hat)
         assert_array_equal(a.theta_u_hat, b.theta_u_hat)
         assert a.beta_hat == b.beta_hat
         assert a.delta_hat == b.delta_hat
         assert a.loglik == b.loglik
         assert a.best_start_index == b.best_start_index
+        assert a.per_start == b.per_start
+        assert_array_equal(a.profile_loglik, b.profile_loglik)
 
-    def test_nine_start_grid(self):
+    def test_screen_grid(self):
+        # the grid axes with beta varying slowest; every polish starts on a
+        # local maximum of the profile, the highest first, at the screen's
+        # theta_u, where the profile is the log likelihood
         _, panel, spec, f_hat = self.make_problem(seed=4, n_agents=150)
-        # beta varies slowest; the nine interior starts keep their order
-        points = MleConfig(theta_ref=(0.6, -0.25)).start_points(2)
-        assert len(points) == 16
-        assert [(b, d) for (_, b, d) in points] == [
-            (b, d) for b in (0.7, 0.8, 0.9, 0.01) for d in (0.7, 0.8, 0.9, 0.999)
-        ]
-        assert_allclose(points[0][0], [0.57, -0.2375], rtol=0, atol=1e-15)
+        result = fit_mle(panel, spec, f_hat)
+        interior = (1e-4, 1e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                    0.8, 0.9, 0.95)
+        assert result.profile_betas == SCREEN_BETAS == interior + (1.0,)
+        assert result.profile_deltas == SCREEN_DELTAS == interior + (np.nextafter(1.0, 0.0),)
+        profile = result.profile_loglik
+        assert profile.shape == (15, 15) and np.all(np.isfinite(profile))
+        padded = np.pad(profile, 1, constant_values=-np.inf)
+        heights = []
+        for record in result.per_start:
+            i = SCREEN_BETAS.index(record.beta_start)
+            j = SCREEN_DELTAS.index(record.delta_start)
+            assert profile[i, j] == padded[i:i + 3, j:j + 3].max()
+            at_start = log_likelihood(panel, spec, record.theta_start, record.beta_start,
+                                      record.delta_start, f_hat)
+            assert profile[i, j] == pytest.approx(at_start, rel=1e-12)
+            heights.append(profile[i, j])
+        assert heights == sorted(heights, reverse=True)
+        assert result.loglik >= profile.max()
+
+    def test_screen_steps_around_an_unvisited_state(self):
+        # no transition leads to state 2, so the free payoff u_0(2) has no
+        # information: the scoring matrix is singular at every grid point,
+        # its pseudo-inverse leaves that payoff at 0, and so does the polish
+        J, K = 3, 2
+        f = random_transitions(J, K, seed=3)
+        f[:, :, 2] = 0.0
+        f /= f.sum(axis=2, keepdims=True)
+        u = np.array([[0.4, -0.3, 0.2], [0.0, 0.0, 0.0]])
+        model = ModelSpec(num_states=J, num_actions=K, horizon=6, beta=0.8,
+                          delta=0.9, utility=u, transitions=f)
+        panel = simulate_panel(model, solve_backward(model), 300, seed=4,
+                               initial_dist=[0.5, 0.5, 0.0])
+        assert not np.any(panel.states == 2)
+        spec = UtilitySpec(form="free_table", num_actions=K, num_states=J)
+        result = fit_mle(panel, spec, estimate_transitions(panel, J, K))
+        assert np.all(np.isfinite(result.profile_loglik))
+        assert all(r.theta_start[2] == 0.0 for r in result.per_start)
+        assert result.theta_u_hat[2] == 0.0
+        assert result.per_start[result.best_start_index].converged
 
     def test_fixed_beta_reduces_to_exponential_mle(self):
         # data from a time-consistent model; fixing beta = 1 turns the fit
@@ -392,13 +440,17 @@ class TestFitMle:
         panel = simulate_panel(model, sol, 20000, seed=22)
         spec = UtilitySpec(form="linear_in_state", num_actions=K, num_states=J)
         f_hat = estimate_transitions(panel, J, K)
-        config = MleConfig(theta_ref=(0.5, -0.2), fixed_parameters={"beta": 1.0})
+        config = MleConfig(fixed_parameters={"beta": 1.0})
         result = fit_mle(panel, spec, f_hat, config)
         assert result.beta_hat == 1.0
         assert abs(result.delta_hat - 0.9) < 0.15
         assert abs(result.theta_u_hat[0] - 0.5) < 0.05
         assert abs(result.theta_u_hat[1] + 0.2) < 0.02
-        assert len(result.per_start) == 4  # only the delta grid remains
+        # only the delta axis of the screen remains
+        assert result.profile_betas == (1.0,)
+        assert result.profile_deltas == SCREEN_DELTAS
+        assert result.profile_loglik.shape == (1, 15)
+        assert all(r.beta_start == 1.0 for r in result.per_start)
         at_truth = log_likelihood(panel, spec, [0.5, -0.2], 1.0, 0.9, f_hat)
         assert result.loglik >= at_truth
 
@@ -415,37 +467,52 @@ class TestFitMle:
         panel = simulate_panel(model, solve_backward(model), 600, seed=2)
         spec = UtilitySpec(form="linear_in_state", num_actions=K, num_states=J)
         f_hat = estimate_transitions(panel, J, K)
-        result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+        result = fit_mle(panel, spec, f_hat)
         assert result.beta_hat == 1.0
         assert all(r.converged for r in result.per_start)
         best = [r for r in result.per_start if r.loglik > result.loglik - 1e-9]
-        assert len(best) >= 9 and all("beta" in r.at_bound for r in best)
+        assert len(best) == len(result.per_start) >= 2
+        assert all("beta" in r.at_bound for r in best)
         _, score = _exact_score(panel, spec, result.theta_u_hat, 1.0,
                                 result.delta_hat, f_hat)
         assert score[2] > 0.0  # the likelihood still rises towards beta > 1
 
-    def test_projected_score_shows_interior_stalls(self):
-        # the data of test_fit_reaches_beta_one.  The best start's
-        # projected score is the exact score at the estimate without its
-        # beta entry, which points out of the box at beta = 1.  Starts that
-        # stop short of the best in the interior still report converged,
-        # on the relative-reduction test, and their projected scores,
-        # far above param_tol, show that they are not stationary.
+    def test_restart_mends_interior_stalls(self, monkeypatch):
+        # the data of test_fit_reaches_beta_one, searched from the 16-start
+        # grid fit_mle used before the profile screen.  Two of those
+        # searches, from (0.7, 0.999) and (0.01, 0.9), stop in the interior
+        # on the relative-reduction test, 5e-6 and 7.5e-6 below the best,
+        # still reporting converged, with projected scores that show they
+        # are not stationary.  Restarting each from its end point mends it.
         _, panel, spec, f_hat = self.make_problem(seed=0, beta=1.0)
-        result = fit_mle(panel, spec, f_hat, MleConfig(theta_ref=(0.6, -0.25)))
+        starts = tuple((np.array([0.57, -0.2375]), b, d)
+                       for b in (0.7, 0.8, 0.9, 0.01) for d in (0.7, 0.8, 0.9, 0.999))
+        stalled = {3, 14}
+        monkeypatch.setattr("hyperdisc.estimation.MAX_RESTARTS", 0)
+        once = fit_mle(panel, spec, f_hat, MleConfig(starts=starts))
+        stalls = {r.index for r in once.per_start
+                  if r.at_bound == () and r.loglik < once.loglik - 1e-6}
+        assert stalls == stalled
+        assert all(once.per_start[i].converged
+                   and once.per_start[i].projected_score > RESTART_SCORE for i in stalls)
+        monkeypatch.undo()
+        result = fit_mle(panel, spec, f_hat, MleConfig(starts=starts))
         _, score = _exact_score(panel, spec, result.theta_u_hat, result.beta_hat,
                                 result.delta_hat, f_hat)
         assert result.beta_hat == 1.0 and score[2] > 0.0
         best = result.per_start[result.best_start_index]
+        # the projected score leaves out the beta entry, which points out of the box
         assert best.projected_score == np.abs(score[[0, 1, 3]]).max()
-        stalls = [r for r in result.per_start
-                  if r.at_bound == () and r.loglik < result.loglik - 1e-6]
-        assert len(stalls) >= 2
-        assert all(r.converged and r.projected_score > 1e-3 for r in stalls)
+        for record in result.per_start:
+            assert record.converged and record.projected_score <= RESTART_SCORE
+            assert record.loglik >= result.loglik - 1e-9
+            assert (record.restarts > 0) == (record.index in stalled)
+            first = once.per_start[record.index]
+            assert record.iterations > first.iterations or record.index not in stalled
 
     def test_projected_score_leaves_out_fixed_parameters(self):
         _, panel, spec, f_hat = self.make_problem(seed=0, n_agents=800)
-        config = MleConfig(theta_ref=(0.6, -0.25), fixed_parameters={"beta": 0.8})
+        config = MleConfig(fixed_parameters={"beta": 0.8})
         result = fit_mle(panel, spec, f_hat, config)
         _, score = _exact_score(panel, spec, result.theta_u_hat, 0.8,
                                 result.delta_hat, f_hat)
@@ -474,10 +541,12 @@ class TestFitMle:
     def test_present_bias_start_finds_the_patient_maximum(self, beta, delta,
                                                           replication, loglik):
         # two acceptance-design replications whose likelihood has a second,
-        # higher local maximum at a small beta with delta near 1; the
-        # searches from the nine interior starts all miss it, the
-        # (0.01, 0.999) start reaches it.  `loglik` is the value a
-        # logistic-space Nelder-Mead search reached on the same panels.
+        # higher local maximum at a small beta with delta near 1; searches
+        # from a start grid of beta and delta in {0.7, 0.8, 0.9} all miss
+        # it.  The profile screen finds it: the best polish starts from a
+        # grid point with beta <= 0.03 and delta >= 0.95.  `loglik` is the
+        # value a logistic-space Nelder-Mead search reached on the same
+        # panels.
         from hyperdisc import McConfig
         from hyperdisc.montecarlo import run_one_replication
         config = McConfig(delta=delta, beta=beta, sample_sizes=(2000,),
@@ -485,19 +554,88 @@ class TestFitMle:
         record = run_one_replication(config, replication, 2000)
         assert record.ok
         assert record.loglik >= loglik - 1e-6
-        assert record.best_start in (3, 7, 11, 12, 13, 14, 15)  # an edge start
         assert record.beta < 0.05 and record.delta > 0.999
+        start = _replication_fit(config, replication).per_start[record.best_start]
+        assert start.beta_start <= 0.03 and start.delta_start >= 0.95
+
+    @pytest.mark.parametrize("beta,delta,replication,loglik", [
+        (0.85, 0.9, 62, -21837.48811203118),
+        (0.85, 0.9, 66, -21832.30210613112),
+        (0.85, 0.9, 81, -21844.284501846887),
+        (0.7, 0.75, 25, -21851.830837813573),
+        (0.7, 0.75, 93, -21881.15983031932),
+    ])
+    def test_screen_reaches_the_start_grid_maximum(self, beta, delta, replication,
+                                                   loglik):
+        # acceptance-design replications on which the 16-start grid fit_mle
+        # used before the screen ended at `loglik`.  On 62 (setting 1) and
+        # 25 (setting 2) L-BFGS-B ends ABNORMAL at a grid maximum with a
+        # projected score near 5e-5; on 66 the polish first stalls at a
+        # projected score of 2.7, 1.8e-3 below `loglik`, and one restart
+        # reaches it.
+        from hyperdisc import McConfig
+        config = McConfig(delta=delta, beta=beta, sample_sizes=(2000,),
+                          n_replications=100, base_seed=20260801)
+        result = _replication_fit(config, replication)
+        assert result.loglik >= loglik - 1e-6
+        assert result.per_start[result.best_start_index].converged
 
     def test_nonconvergence_carries_records(self):
+        # with zero tolerances no search of one iteration converges, so
+        # every grid point is polished in turn
         _, panel, spec, f_hat = self.make_problem(seed=5, n_agents=100)
-        config = MleConfig(theta_ref=(0.6, -0.25), max_iterations=1)
+        config = MleConfig(max_iterations=1, param_tol=0.0, objective_tol=0.0)
         with pytest.raises(NonConvergenceError) as err:
             fit_mle(panel, spec, f_hat, config)
-        assert len(err.value.records) == 16
-        assert all(not r.converged for r in err.value.records)
+        records = err.value.records
+        assert len(records) == len(SCREEN_BETAS) * len(SCREEN_DELTAS)
+        assert len({(r.beta_start, r.delta_start) for r in records}) == len(records)
+        assert all(not r.converged for r in records)
+
+    @pytest.mark.parametrize("starts,message", [
+        ((("a", 0.8, 0.9),), "start theta_u must be numeric"),
+        ((([0.5, "b"], 0.8, 0.9),), "start theta_u must be numeric"),
+        ((([0.5, -0.2], "x", 0.9),), "start beta and delta must be numeric"),
+        ((([0.5, -0.2], 0.8, np.nan),), "start beta and delta must be finite"),
+        ((([[0.5], [-0.2]], 0.8, 0.9),), "start theta_u must be a flat sequence"),
+        ((([0.5, -0.2], 0.8),), "start ([0.5, -0.2], 0.8) must be a"),
+        ((), "at least one start point is required"),
+    ])
+    def test_malformed_starts_rejected(self, starts, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            MleConfig(starts=starts)
+
+    def test_start_length_checked_at_the_fit(self):
+        _, panel, spec, f_hat = self.make_problem(seed=5, n_agents=50)
+        config = MleConfig(starts=(([0.5], 0.8, 0.9),))
+        with pytest.raises(InvalidInputError, match="must supply 2 utility parameters"):
+            fit_mle(panel, spec, f_hat, config)
+
+    @pytest.mark.parametrize("value,message", [
+        (2.5, "max_iterations must be an integer, got 2.5"),
+        ("10", "max_iterations must be an integer"),
+        (0, "max_iterations must be at least 1"),
+    ])
+    def test_max_iterations_is_a_positive_integer(self, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            MleConfig(max_iterations=value)
 
     def test_bad_fixed_parameter_rejected(self):
         with pytest.raises(InvalidInputError):
             MleConfig(fixed_parameters={"gamma": 0.5})
         with pytest.raises(InvalidInputError):
             MleConfig(fixed_parameters={"delta": 1.0})
+
+
+def _replication_fit(config, replication, sample_size=2000):
+    """``fit_mle`` on one replication of ``run_one_replication``'s design."""
+    from hyperdisc import montecarlo
+    from hyperdisc.simulation import derive_seed
+
+    rep_seed = derive_seed(config.base_seed, replication, sample_size)
+    model = montecarlo.design_model(config, montecarlo.design_transitions(config, rep_seed))
+    panel = simulate_panel(model, solve_backward(model), sample_size,
+                           seed=derive_seed(rep_seed, montecarlo.PANEL_STREAM))
+    f_hat = estimate_transitions(panel, config.num_states, config.num_actions)
+    spec = linear_spec(config.num_states, model.state_values)
+    return fit_mle(panel, spec, f_hat)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from hyperdisc import InvalidInputError, PanelData, simulate_panel, solve_backward
+from hyperdisc import InvalidInputError, MleConfig, PanelData, simulate_panel, solve_backward
 from hyperdisc.fileio import (
     _WRITE_BLOCK_ROWS,
     estimation_config_from_dict,
@@ -177,15 +177,29 @@ class TestPanelCsv:
 
 class TestConfigDocuments:
     def test_estimation_config_defaults(self):
-        spec, config = estimation_config_from_dict(
-            {"num_states": 5, "num_actions": 2, "theta_ref": [0.5, -0.2]}
-        )
+        spec, config = estimation_config_from_dict({"num_states": 5, "num_actions": 2})
         assert spec.form == "linear_in_state"
         assert spec.reference_action == 1
-        assert config.beta_starts == (0.7, 0.8, 0.9, 0.01)
-        assert config.delta_starts == (0.7, 0.8, 0.9, 0.999)
+        # no explicit starts: the fit runs the profile screen
+        assert config.starts is None
         assert config.param_tol == 1e-8
         assert config.objective_tol == 1e-10
+        assert config.max_iterations == 5000
+        assert config == MleConfig()
+
+    def test_removed_start_grid_keys_are_ignored(self):
+        _, config = estimation_config_from_dict({
+            "num_states": 5, "num_actions": 2, "theta_ref": [0.5, -0.2],
+            "theta_start_scale": 0.9, "beta_starts": [0.5], "delta_starts": [0.5],
+        })
+        assert config == MleConfig()
+
+    def test_estimation_config_starts(self):
+        _, config = estimation_config_from_dict({
+            "num_states": 5, "num_actions": 2,
+            "starts": [{"theta_u": [0.5, -0.2], "beta": 0.8, "delta": 0.9}],
+        })
+        assert config.starts == (((0.5, -0.2), 0.8, 0.9),)
 
     def test_estimation_config_explicit(self):
         spec, config = estimation_config_from_dict({

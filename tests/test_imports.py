@@ -2,8 +2,9 @@
 
 Only the maximum likelihood fit, ``solve_backward(check=True)``, the
 exact-mode inclusive-value diagnostic and parallel Monte Carlo runs need
-them, so importing the package and running ``simulate``, ``identify
---panel`` and ``check`` must not load them.  pytest itself has SciPy
+them, so importing the package, running ``simulate``, ``identify
+--panel`` and ``check``, and evaluating one log likelihood must not load
+them.  pytest itself has SciPy
 loaded, so the check runs in a fresh interpreter.
 """
 
@@ -42,13 +43,16 @@ codes = [
 ]
 stages["cli"] = heavy()
 
+import hyperdisc.estimation
 from hyperdisc import fileio
 data = fileio.read_panel_csv(panel)
 spec = hyperdisc.UtilitySpec(form="free_table", num_actions=2, num_states=2)
 f_hat = hyperdisc.estimate_transitions(data, 2, 2)
+loglik = hyperdisc.estimation.log_likelihood(data, spec, [0.0, -1.0], 0.8, 0.6, f_hat)
+stages["loglik"] = heavy()
 config = hyperdisc.MleConfig(starts=(([0.0, -1.0], 0.8, 0.6),))
 fit = hyperdisc.fit_mle(data, spec, f_hat, config)
-print(json.dumps({"stages": stages, "codes": codes,
+print(json.dumps({"stages": stages, "codes": codes, "loglik": loglik,
                   "fit_converged": fit.per_start[0].converged,
                   "optimize_loaded": "scipy.optimize" in sys.modules}))
 """
@@ -62,7 +66,8 @@ def test_import_and_data_commands_leave_scipy_and_multiprocessing_unloaded(tmp_p
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["stages"] == {"import": [], "cli": []}
+    assert report["stages"] == {"import": [], "cli": [], "loglik": []}
+    assert report["loglik"] < 0.0
     assert report["codes"] == [0, 0, 0]
     # the fit still works and loads the optimizer where it is used
     assert report["fit_converged"]

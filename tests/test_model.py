@@ -302,6 +302,106 @@ class TestSolveBackward:
         assert_allclose(sol.P, solve_backward(model).P, rtol=0, atol=1e-10)
 
 
+def _reference_backward_core(utility, transitions, beta, delta, horizon, dutility=None):
+    """The unbatched backward loop, frozen as the bit-exact reference of
+    ``model._backward_core``'s batch of one."""
+    K, J = utility.shape
+    V = np.empty((horizon, J))
+    W = np.empty((horizon, K, J))
+    logP = np.empty((horizon, K, J))
+    bd = beta * delta
+    corr = (1.0 - beta) * delta
+    v_next = np.zeros(J)
+    if dutility is not None:
+        p = dutility.shape[0]
+        du = np.zeros((p + 2, K, J))
+        du[:p] = dutility
+        dbd = np.zeros((p + 2, 1, 1))
+        dbd[p:, 0, 0] = delta, beta
+        dcorr = np.zeros((p + 2, 1))
+        dcorr[p:, 0] = -delta, 1.0 - beta
+        f_t = transitions.reshape(K * J, J).T
+        dv_next = np.zeros((p + 2, J))
+        dlogP = np.empty((horizon, p + 2, K, J))
+    for t in range(horizon - 1, -1, -1):
+        ev = transitions @ v_next
+        w = utility + bd * ev
+        m = w.max(axis=0)
+        z = w - m
+        log_s = np.log(np.exp(z).sum(axis=0))
+        lp = z - log_s
+        P = np.exp(lp)
+        Pev = P * ev
+        pev_sum = Pev.sum(axis=0)
+        v_next = (m + log_s) + corr * pev_sum
+        V[t] = v_next
+        W[t] = w
+        logP[t] = lp
+        if dutility is not None:
+            dev = (dv_next @ f_t).reshape(-1, K, J)
+            dw = du + dbd * ev + bd * dev
+            dlse = (P * dw).sum(axis=1)
+            dlp = dw - dlse[:, None, :]
+            dv_next = (dlse + dcorr * pev_sum
+                       + corr * (Pev * dlp + P * dev).sum(axis=1))
+            dlogP[t] = dlp
+    if dutility is None:
+        return V, W, logP
+    return V, W, logP, dlogP
+
+
+def _random_kernel_problem(seed, batch=None):
+    rng = np.random.default_rng(seed)
+    J, K, T = int(rng.integers(2, 21)), int(rng.integers(2, 4)), int(rng.integers(2, 20))
+    f = rng.random((K, J, J))
+    f /= f.sum(axis=2, keepdims=True)
+    lead = () if batch is None else (batch,)
+    utility = rng.normal(scale=2.0, size=(K,) + lead + (J,))
+    beta = rng.uniform(0.01, 1.0, size=lead)
+    delta = rng.uniform(0.01, 0.999, size=lead)
+    dutility = rng.normal(size=(3, K, J))
+    return utility, f, beta, delta, T, dutility
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batch_of_one_equals_the_reference_loop(self, seed):
+        utility, f, beta, delta, T, dutility = _random_kernel_problem(seed)
+        args = (utility, f, float(beta), float(delta), T)
+        for extra in ((), (dutility,)):
+            got = model_module._backward_core(*args, *extra)
+            want = _reference_backward_core(*args, *extra)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batch_members_equal_their_own_calls(self, seed):
+        utility, f, beta, delta, T, dutility = _random_kernel_problem(100 + seed, batch=7)
+        batched = model_module._backward_core(utility, f, beta, delta, T, dutility)
+        K, J = f.shape[:2]
+        # the batch axis sits just before the state axis
+        assert [a.shape for a in batched] == [(T, 7, J), (T, K, 7, J), (T, K, 7, J),
+                                              (T, 5, K, 7, J)]
+        for b in range(7):
+            single = model_module._backward_core(utility[:, b], f, float(beta[b]),
+                                                 float(delta[b]), T, dutility)
+            for a, s in zip(batched, single):
+                assert_array_equal(a[..., b, :], s)
+
+    def test_utility_directions_alone(self):
+        # without the discount directions dlogP keeps the p utility ones
+        utility, f, beta, delta, T, dutility = _random_kernel_problem(7, batch=4)
+        full = model_module._backward_core(utility, f, beta, delta, T, dutility)
+        theta_only = model_module._backward_core(utility, f, beta, delta, T, dutility,
+                                                 discounts=False)
+        for a, b in zip(theta_only[:3], full[:3]):
+            assert_array_equal(a, b)
+        assert theta_only[3].shape == full[3][:, :3].shape
+        assert_allclose(theta_only[3], full[3][:, :3], rtol=0, atol=1e-12)
+
+
 class TestBackwardCoreDerivatives:
     @pytest.mark.parametrize("seed,kwargs", [
         (30, {}), (31, {"beta": 1.0}), (32, {"num_states": 4, "num_actions": 3}),

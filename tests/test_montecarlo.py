@@ -1,4 +1,6 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hyperdisc import (
     EmptySummaryError,
     InvalidInputError,
     McConfig,
+    NonConvergenceError,
     RepEstimate,
     run_replications,
     summarize,
@@ -61,6 +64,23 @@ class TestDesign:
         with pytest.raises(InvalidInputError):
             small_config(transition_seed_policy="sometimes")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_states", "5", "num_states must be an integer, got '5'"),
+        ("num_actions", 2.0, "num_actions must be an integer, got 2.0"),
+        ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+        ("n_replications", "3", "n_replications must be an integer"),
+        ("n_jobs", 1.5, "n_jobs must be an integer"),
+        ("base_seed", None, "base_seed must be an integer"),
+        ("mle_max_iterations", True, "mle_max_iterations must be an integer"),
+        ("mle_max_iterations", 0, "mle_max_iterations must be at least 1"),
+        ("sample_sizes", ("a",), "every sample size must be an integer, got 'a'"),
+        ("sample_sizes", (200.0,), "every sample size must be an integer"),
+        ("sample_sizes", 2000, "sample_sizes must be a sequence of integers"),
+    ])
+    def test_integer_fields_are_integers(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            small_config(**{field: value})
+
 
 class TestRunReplications:
     def test_single_replication_and_zero_sd(self):
@@ -73,17 +93,29 @@ class TestRunReplications:
             assert summary.cell(p, 150).sd == 0.0
             assert summary.cell(p, 150).n_success == 1
 
-    def test_deterministic_across_runs_and_worker_counts(self):
+    def test_deterministic_across_runs_and_worker_counts(self, monkeypatch):
         config = small_config()
         serial = run_replications(config)
         again = run_replications(config)
+        # the workers get one BLAS thread each; the parent's settings,
+        # set or not, are restored afterwards
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         parallel = run_replications(
             McConfig(**{**_as_dict(config), "n_jobs": 2})
         )
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
         assert serial == again
         assert serial == parallel
 
-    def test_failures_recorded_not_fatal(self):
+    def test_failures_recorded_not_fatal(self, monkeypatch):
+        # a search of one iteration can converge where the screen's start
+        # is already stationary, so the fit is made to fail outright
+        def no_convergence(*args, **kwargs):
+            raise NonConvergenceError("no optimizer start converged", records=[])
+
+        monkeypatch.setattr(montecarlo, "fit_mle", no_convergence)
         config = small_config(mle_max_iterations=1)
         records = run_replications(config)
         assert len(records) == 2
