@@ -17,15 +17,16 @@ The likelihood is flat and curved along a ridge in (beta, delta), and
 it can have more than one local maximum there, so the search is global
 in those two factors and local in the rest.  A profile screen first
 evaluates the likelihood on a fixed (beta, delta) grid, maximized over
-the utility coefficients by a few Fisher-scoring steps at every grid
-point, all grid points in one batched pass of the backward kernel per
-step.  L-BFGS-B with the exact gradient then polishes from every local
-maximum of that profile, on the natural parameters ``(theta_u, beta,
-delta)`` inside a box: utility coefficients are free, ``beta`` lies in
-``[DISCOUNT_FLOOR, 1]`` and ``delta`` in ``[DISCOUNT_FLOOR,
-nextafter(1, 0)]``.  So ``beta = 1`` (exponential discounting) can be
+the utility coefficients by Fisher-scoring steps at every grid point
+until the steps fall below a relative tolerance (``SCREEN_TOL``, at
+most ``SCREEN_STEPS`` steps), the grid points still moving in one
+batched pass of the backward kernel per step.  L-BFGS-B with the exact
+gradient then polishes from every local maximum of that profile, on the
+natural parameters ``(theta_u, beta, delta)`` inside a box: utility
+coefficients are free, ``beta`` lies in ``[DISCOUNT_FLOOR, 1]`` and
+``delta`` in ``[DISCOUNT_FLOOR, nextafter(1, 0)]``.  So ``beta = 1`` (exponential discounting) can be
 reached, and an estimate on an edge of the box is reported as such.
-The best polish is the estimate.
+The best converged polish is the estimate.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ _SCREEN_INTERIOR = (1e-4, 1e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
                     0.8, 0.9, 0.95)
 SCREEN_BETAS = _SCREEN_INTERIOR + (1.0,)
 SCREEN_DELTAS = _SCREEN_INTERIOR + (float(_DELTA_HI),)
-# Fisher-scoring steps on theta_u, from theta_u = 0, at every grid point.
+# Fisher-scoring steps on theta_u, from theta_u = 0, at every grid point:
+# a point stops once no coordinate of its step exceeds SCREEN_TOL * (1 +
+# |theta_u|), and after SCREEN_STEPS steps at the latest.
 SCREEN_STEPS = 8
+SCREEN_TOL = 1e-10
 # A search that ends with a larger projected score is restarted from its
 # end point, at most MAX_RESTARTS times.
 RESTART_SCORE = 1e-3
@@ -97,10 +101,12 @@ class UtilitySpec:
     def __post_init__(self):
         if self.form not in (LINEAR_IN_STATE, FREE_TABLE):
             raise InvalidInputError(f"unknown utility form {self.form!r}")
-        K, J = int(self.num_actions), int(self.num_states)
+        K = _check_int(self.num_actions, "num_actions")
+        J = _check_int(self.num_states, "num_states")
         if K < 2 or J < 1:
             raise InvalidInputError("need num_actions >= 2 and num_states >= 1")
-        ref = K - 1 if self.reference_action is None else int(self.reference_action)
+        ref = (K - 1 if self.reference_action is None
+               else _check_int(self.reference_action, "reference_action"))
         if not 0 <= ref < K:
             raise InvalidInputError(f"reference_action {ref} out of range")
         sv = _state_values(self.state_values, J)
@@ -272,10 +278,10 @@ class StartRecord:
 class MleResult:
     """Best point over all polishes plus the per-polish records.
 
-    ``profile_betas`` and ``profile_deltas`` are the screen's grid axes
-    and ``profile_loglik`` (one row per beta) the profile log
-    likelihood on it; all three are None when explicit starts replaced
-    the screen.
+    ``profile_betas`` and ``profile_deltas`` are the screen's grid axes,
+    ``profile_loglik`` (one row per beta) the profile log likelihood on
+    it and ``profile_steps`` the scoring steps each grid point took; all
+    four are None when explicit starts replaced the screen.
     """
 
     theta_u_hat: np.ndarray
@@ -287,6 +293,7 @@ class MleResult:
     profile_betas: tuple | None = None
     profile_deltas: tuple | None = None
     profile_loglik: np.ndarray | None = None
+    profile_steps: np.ndarray | None = None
 
 
 def _box(n_theta: int, fixed_parameters: dict):
@@ -305,9 +312,11 @@ def _box(n_theta: int, fixed_parameters: dict):
 
 
 def _scoring_step(counts, theta, dutility, transitions, beta, delta):
-    """One Fisher-scoring step on theta_u at every grid point at once.
+    """The log likelihood at, and one Fisher-scoring step on theta_u from,
+    every grid point at once.
 
-    Row g of ``theta`` holds theta_u at ``(beta[g], delta[g])``.  The
+    Row g of ``theta`` holds theta_u at ``(beta[g], delta[g])``; one
+    batched kernel pass gives ``(loglik (G,), step (G, p))``.  The
     scoring matrix is ``sum_{t,x} n_tx sum_a P dlogP dlogP^T`` over the
     theta_u directions, the expected information at the observed state
     counts ``n_tx``; its pseudo-inverse steps by zero along a direction
@@ -317,31 +326,45 @@ def _scoring_step(counts, theta, dutility, transitions, beta, delta):
     _, _, logP, dlogP = _backward_core(np.einsum("gi,iax->agx", theta, dutility),
                                        transitions, beta, delta, counts.shape[0],
                                        dutility, discounts=False)
+    loglik = np.einsum("tax,tagx->g", counts, logP)
     score = np.einsum("tax,tiagx->gi", counts, dlogP)
     weight = np.exp(logP)
     weight *= counts.sum(axis=1)[:, None, None, :]
     info = np.einsum("tiagx,tjagx->gij", dlogP * weight[:, None], dlogP)
-    return theta + (np.linalg.pinv(info, hermitian=True) @ score[..., None])[..., 0]
+    return loglik, (np.linalg.pinv(info, hermitian=True) @ score[..., None])[..., 0]
 
 
 def _profile_screen(counts, dutility, transitions, betas, deltas):
     """The profile log likelihood on the grid ``betas`` x ``deltas``.
 
-    At every grid point ``SCREEN_STEPS`` scoring steps
-    (``_scoring_step``) on theta_u start from theta_u = 0, each one
-    batched kernel pass over the whole grid.  Returns the final theta_u,
-    shape (grid points, p), and the profile there, shape (len(betas),
-    len(deltas)), both with beta varying slowest.
+    Every grid point starts from theta_u = 0 and takes scoring steps
+    (``_scoring_step``) until no coordinate of its step exceeds
+    ``SCREEN_TOL * (1 + |theta_u|)``, or until it has taken
+    ``SCREEN_STEPS``.  Its profile is the log likelihood of the pass
+    that stopped it, at the theta_u that pass ran at; that pass's step
+    is not taken.  Each pass is one batched kernel pass over the points
+    still moving.  Returns theta_u, shape (grid points, p), with beta
+    varying slowest, and the profile and the steps taken at each point,
+    both of shape (len(betas), len(deltas)).
     """
     beta = np.repeat(betas, len(deltas))
     delta = np.tile(deltas, len(betas))
     theta = np.zeros((beta.size, dutility.shape[0]))
-    for _ in range(SCREEN_STEPS):
-        theta = _scoring_step(counts, theta, dutility, transitions, beta, delta)
-    logP = _backward_core(np.einsum("gi,iax->agx", theta, dutility), transitions,
-                          beta, delta, counts.shape[0])[2]
-    profile = np.einsum("tax,tagx->g", counts, logP)
-    return theta, profile.reshape(len(betas), len(deltas))
+    profile = np.empty(beta.size)
+    steps = np.zeros(beta.size, dtype=int)
+    active = np.arange(beta.size)
+    for n in range(SCREEN_STEPS + 1):
+        profile[active], step = _scoring_step(counts, theta[active], dutility,
+                                              transitions, beta[active], delta[active])
+        moving = np.any(np.abs(step) > SCREEN_TOL * (1.0 + np.abs(theta[active])),
+                        axis=1)
+        if n == SCREEN_STEPS or not moving.any():
+            break
+        active, step = active[moving], step[moving]
+        theta[active] += step
+        steps[active] += 1
+    shape = (len(betas), len(deltas))
+    return theta, profile.reshape(shape), steps.reshape(shape)
 
 
 def _local_maxima(profile):
@@ -376,8 +399,8 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     order; a start outside the box is moved onto it.
 
     Deterministic given the panel and configuration.  The estimate is
-    the polish with the highest final log likelihood, ties to the
-    lowest polish index.  ``transitions`` is a (K, J, J) tensor of
+    the converged polish with the highest final log likelihood, ties to
+    the lowest polish index.  ``transitions`` is a (K, J, J) tensor of
     probability rows or an estimate carrying one in ``f_hat``.  Raises
     ``NonConvergenceError`` (carrying every polish record) only if no
     polish converges.
@@ -444,7 +467,7 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
         ))
         finals.append(x)
 
-    profile = None
+    profile = steps = None
     if config.starts is not None:
         for theta0, beta0, delta0 in config.starts:
             if len(theta0) != n_theta:
@@ -455,7 +478,7 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     else:
         betas = np.array([fixed["beta"]] if "beta" in fixed else SCREEN_BETAS, float)
         deltas = np.array([fixed["delta"]] if "delta" in fixed else SCREEN_DELTAS, float)
-        thetas, profile = _profile_screen(counts, dutility, f, betas, deltas)
+        thetas, profile, steps = _profile_screen(counts, dutility, f, betas, deltas)
         ranked = np.where(np.isfinite(profile), profile, -np.inf).ravel()
         order = np.argsort(-ranked, kind="stable")
         peak = _local_maxima(profile).ravel()
@@ -471,7 +494,8 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             "no optimizer start converged within the configured tolerances",
             records=records,
         )
-    best = max(range(len(records)), key=lambda i: (records[i].loglik, -i))
+    best = max((i for i, r in enumerate(records) if r.converged),
+               key=lambda i: (records[i].loglik, -i))
     x = finals[best]
     return MleResult(
         theta_u_hat=x[:n_theta],
@@ -483,4 +507,5 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
         profile_betas=None if profile is None else tuple(betas.tolist()),
         profile_deltas=None if profile is None else tuple(deltas.tolist()),
         profile_loglik=profile,
+        profile_steps=steps,
     )

@@ -255,6 +255,7 @@ def mle_report(result) -> dict:
             "beta": list(result.profile_betas),
             "delta": list(result.profile_deltas),
             "loglik": result.profile_loglik.tolist(),
+            "steps": result.profile_steps.tolist(),
         },
     }
 

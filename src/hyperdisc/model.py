@@ -171,10 +171,9 @@ class ModelSpec:
     equality_pairs: tuple = field(default=())
 
     def __post_init__(self):
-        try:
-            J, K, T = int(self.num_states), int(self.num_actions), int(self.horizon)
-        except (TypeError, ValueError):
-            raise InvalidInputError("model dimensions must be integers") from None
+        J = _check_int(self.num_states, "num_states")
+        K = _check_int(self.num_actions, "num_actions")
+        T = _check_int(self.horizon, "horizon")
         if J < 1:
             raise InvalidInputError("num_states must be a positive integer")
         if K < 2:
@@ -326,14 +325,15 @@ def _backward_core(utility, transitions, beta, delta, horizon, dutility=None,
     if dutility is not None:
         p = dutility.shape[0]
         n = p + 2 if discounts else p
-        du = np.zeros((n, K) + (1,) * len(lead) + (J,))
-        du[:p] = dutility.reshape(du[:p].shape)
-        # the discount directions enter through beta * delta and (1 - beta) * delta
-        dbd = np.zeros((n, 1) + lead + (1,))
-        dcorr = np.zeros((n,) + lead + (1,))
+        du = dutility.reshape((p, K) + (1,) * len(lead) + (J,))
         if discounts:
-            dbd[p, 0], dbd[p + 1, 0] = delta, beta
-            dcorr[p], dcorr[p + 1] = -delta, 1.0 - beta
+            # the discount directions, rows p and p + 1, enter through
+            # beta * delta and (1 - beta) * delta alone; their terms are
+            # zero in the p utility rows and are left out there
+            dbd = np.zeros((2, 1) + lead + (1,))
+            dbd[0, 0], dbd[1, 0] = delta, beta
+            dcorr = np.zeros((2,) + lead + (1,))
+            dcorr[0], dcorr[1] = -delta, 1.0 - beta
         f_t = transitions.reshape(K * J, J).T
         # dev comes out member by member; order it direction, action, member
         dev_shape = (n,) + lead + (K, J)
@@ -343,26 +343,30 @@ def _backward_core(utility, transitions, beta, delta, horizon, dutility=None,
     # ufunc reductions below: the ndarray methods cost an extra call each
     for t in range(horizon - 1, -1, -1):
         np.matmul(f_v, v_col, ev_col)
-        w = utility + bd * ev
+        w = np.add(utility, bd * ev, W[t])
         m = np.maximum.reduce(w, 0)
         z = w - m
         log_s = np.log(np.add.reduce(np.exp(z), 0))
-        lp = z - log_s
+        lp = np.subtract(z, log_s, logP[t])
         P = np.exp(lp)
         Pev = P * ev
         pev_sum = np.add.reduce(Pev, 0)
         np.add(m + log_s, corr * pev_sum, v_next)
         V[t] = v_next
-        W[t] = w
-        logP[t] = lp
         if dutility is not None:
             dev = (dv_next.reshape(-1, J) @ f_t).reshape(dev_shape).transpose(dev_axes)
-            dw = du + dbd * ev + bd * dev
+            # a row of dW adds its one non-zero first term (du, or dbd ev
+            # in a discount row) to bd dev, and dV adds corr (...) last, so
+            # every sum rounds as in the formulas above
+            dw = bd * dev
+            dw[:p] += du
+            if discounts:
+                dw[p:] += dbd * ev
             dlse = np.add.reduce(P * dw, 1)
-            dlp = dw - dlse[:, None]
-            dv_next = (dlse + dcorr * pev_sum
-                       + corr * np.add.reduce(Pev * dlp + P * dev, 1))
-            dlogP[t] = dlp
+            dlp = np.subtract(dw, dlse[:, None], dlogP[t])
+            if discounts:
+                dlse[p:] += dcorr * pev_sum
+            dv_next = dlse + corr * np.add.reduce(Pev * dlp + P * dev, 1)
     return (V, W, logP) if dutility is None else (V, W, logP, dlogP)
 
 

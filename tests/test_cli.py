@@ -249,6 +249,9 @@ class TestEstimateCommand:
         assert len(profile["beta"]) == len(profile["delta"]) == 15
         assert len(profile["loglik"]) == 15
         assert all(len(row) == 15 for row in profile["loglik"])
+        # the scoring steps each grid point took, at most the cap of 8
+        assert [len(row) for row in profile["steps"]] == [15] * 15
+        assert all(0 <= n <= 8 for row in profile["steps"] for n in row)
         assert 1 <= len(report["per_start"]) <= 15 * 15
         assert all(r["restarts"] >= 0 for r in report["per_start"])
         best = report["per_start"][report["best_start_index"]]

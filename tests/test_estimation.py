@@ -18,13 +18,18 @@ from hyperdisc import (
     simulate_panel,
     solve_backward,
 )
+from hyperdisc import estimation
 from hyperdisc.estimation import (
     DISCOUNT_FLOOR,
     RESTART_SCORE,
     SCREEN_BETAS,
     SCREEN_DELTAS,
+    SCREEN_STEPS,
+    SCREEN_TOL,
     _box,
     _choice_loglik,
+    _profile_screen,
+    _scoring_step,
 )
 from hyperdisc.simulation import empirical_ccps, estimate_transitions
 from conftest import make_random_model
@@ -580,6 +585,33 @@ class TestFitMle:
         assert result.loglik >= loglik - 1e-6
         assert result.per_start[result.best_start_index].converged
 
+    def test_estimate_is_a_converged_polish(self, monkeypatch):
+        # two equal starts polish to the same log likelihood; when
+        # L-BFGS-B ends the first search unsuccessfully, the estimate is
+        # the second polish, not the lower index
+        from scipy import optimize
+        _, panel, spec, f_hat = self.make_problem(seed=3, n_agents=300)
+        start = (np.array([0.5, -0.2]), 0.8, 0.9)
+        minimize = optimize.minimize
+        searches = []
+
+        def first_abnormal(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            searches.append(res)
+            if len(searches) == 1:
+                res.success = False
+                res.message = "ABNORMAL"
+            return res
+
+        monkeypatch.setattr(optimize, "minimize", first_abnormal)
+        result = fit_mle(panel, spec, f_hat, MleConfig(starts=(start, start)))
+        first, second = result.per_start
+        assert len(searches) == 2
+        assert not first.converged and second.converged
+        assert first.loglik == second.loglik == result.loglik
+        assert result.best_start_index == 1
+        assert result.profile_steps is None
+
     def test_nonconvergence_carries_records(self):
         # with zero tolerances no search of one iteration converges, so
         # every grid point is polished in turn
@@ -639,3 +671,77 @@ def _replication_fit(config, replication, sample_size=2000):
     f_hat = estimate_transitions(panel, config.num_states, config.num_actions)
     spec = linear_spec(config.num_states, model.state_values)
     return fit_mle(panel, spec, f_hat)
+
+
+def _screen_problem(seed=4, n_agents=300):
+    """Counts, payoff Jacobian and transitions of a ``make_problem`` panel."""
+    _, panel, spec, f_hat = TestFitMle().make_problem(seed=seed, n_agents=n_agents)
+    counts = empirical_ccps(panel, spec.num_states, spec.num_actions).counts
+    dutility = np.stack([spec.build_utility(e) for e in np.eye(spec.n_params)])
+    return counts, dutility, f_hat.f_hat
+
+
+class TestProfileScreen:
+    def test_active_set_matches_each_point_alone(self):
+        counts, dutility, f = _screen_problem()
+        betas, deltas = np.array(SCREEN_BETAS), np.array(SCREEN_DELTAS)
+        theta, profile, steps = _profile_screen(counts, dutility, f, betas, deltas)
+        assert profile.shape == steps.shape == (15, 15)
+        for g in range(betas.size * deltas.size):
+            i, j = divmod(g, deltas.size)
+            one = _profile_screen(counts, dutility, f, betas[i:i + 1], deltas[j:j + 1])
+            assert_allclose(one[0][0], theta[g], rtol=0, atol=1e-12)
+            assert_allclose(one[1][0, 0], profile[i, j], rtol=1e-9)
+
+    def test_points_stop_within_the_tolerance(self):
+        # a point that stops before the cap has a remaining step within
+        # SCREEN_TOL, and its profile is the log likelihood at its theta_u
+        counts, dutility, f = _screen_problem(seed=2)
+        betas, deltas = np.array(SCREEN_BETAS), np.array(SCREEN_DELTAS)
+        theta, profile, steps = _profile_screen(counts, dutility, f, betas, deltas)
+        beta, delta = np.repeat(betas, 15), np.tile(deltas, 15)
+        loglik, step = _scoring_step(counts, theta, dutility, f, beta, delta)
+        assert_allclose(loglik, profile.ravel(), rtol=1e-12)
+        stopped = steps.ravel() < SCREEN_STEPS
+        assert stopped.all() and steps.min() >= 1
+        assert np.all(np.abs(step[stopped]) <= SCREEN_TOL * (1.0 + np.abs(theta[stopped])))
+
+    def test_cap_keeps_the_last_theta(self, monkeypatch):
+        # with the cap at 2 every point takes 2 steps: the third pass gives
+        # the profile at that theta_u and its step is not taken
+        counts, dutility, f = _screen_problem()
+        betas, deltas = np.array([0.5, 0.9]), np.array([0.8])
+        monkeypatch.setattr(estimation, "SCREEN_STEPS", 2)
+        theta, profile, steps = _profile_screen(counts, dutility, f, betas, deltas)
+        assert_array_equal(steps, [[2], [2]])
+        beta, delta = betas, np.repeat(deltas, 2)
+        want = np.zeros((2, dutility.shape[0]))
+        for _ in range(2):
+            loglik, step = _scoring_step(counts, want, dutility, f, beta, delta)
+            want = want + step
+        loglik, _ = _scoring_step(counts, want, dutility, f, beta, delta)
+        assert_array_equal(theta, want)
+        assert_array_equal(profile.ravel(), loglik)
+
+    @pytest.mark.parametrize("beta,delta", [(0.85, 0.9), (0.7, 0.75)])
+    def test_passes_on_an_acceptance_replication(self, monkeypatch, beta, delta):
+        # replication 0 of each acceptance setting: every grid point has
+        # converged after at most 5 batched passes, where 8 fixed steps and
+        # a value pass took 9
+        from hyperdisc import McConfig
+        batch_sizes = []
+        kernel = estimation._backward_core
+
+        def spy(*args, **kwargs):
+            if np.ndim(args[2]) == 1:  # a batch of betas
+                batch_sizes.append(np.size(args[2]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_backward_core", spy)
+        config = McConfig(delta=delta, beta=beta, sample_sizes=(2000,),
+                          n_replications=1, base_seed=20260801)
+        result = _replication_fit(config, 0)
+        assert len(batch_sizes) <= 6
+        assert batch_sizes[0] == 225
+        assert len(batch_sizes) == result.profile_steps.max() + 1
+        assert result.profile_steps.shape == result.profile_loglik.shape

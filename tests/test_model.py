@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -678,3 +679,46 @@ def test_state_value_rule(site, state_values, match):
         return
     with pytest.raises(InvalidInputError, match=match):
         STATE_VALUE_SITES[site](state_values)
+
+
+def model_dims(num_states=3, num_actions=2, horizon=4):
+    return ModelSpec(num_states=num_states, num_actions=num_actions, horizon=horizon,
+                     beta=0.8, delta=0.9, utility=np.zeros((2, 3)),
+                     transitions=RULE_MODEL.transitions)
+
+
+def utility_dims(num_states=3, num_actions=2, reference_action=None):
+    return UtilitySpec(form="linear_in_state", num_actions=num_actions,
+                       num_states=num_states, reference_action=reference_action)
+
+
+# (field, valid value, call returning the field as stored)
+DIMENSION_SITES = {
+    "ModelSpec num_states": ("num_states", 3, lambda v: model_dims(num_states=v).num_states),
+    "ModelSpec num_actions": ("num_actions", 2,
+                              lambda v: model_dims(num_actions=v).num_actions),
+    "ModelSpec horizon": ("horizon", 4, lambda v: model_dims(horizon=v).horizon),
+    "UtilitySpec num_states": ("num_states", 3,
+                               lambda v: utility_dims(num_states=v).num_states),
+    "UtilitySpec num_actions": ("num_actions", 2,
+                                lambda v: utility_dims(num_actions=v).num_actions),
+    "UtilitySpec reference_action": ("reference_action", 0,
+                                     lambda v: utility_dims(reference_action=v)
+                                     .reference_action),
+    "McConfig num_states": ("num_states", 3, lambda v: McConfig(num_states=v).num_states),
+    "McConfig horizon": ("horizon", 4, lambda v: McConfig(horizon=v).horizon),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DIMENSION_SITES))
+@pytest.mark.parametrize("mutate", [lambda n: n + 0.7, float, str, lambda n: True])
+def test_dimension_rule(site, mutate):
+    """Dimensions and indices are integers, never truncated floats,
+    strings or bools."""
+    name, valid, call = DIMENSION_SITES[site]
+    stored = call(np.int64(valid))
+    assert stored == valid and type(stored) is int
+    bad = mutate(valid)
+    with pytest.raises(InvalidInputError,
+                       match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        call(bad)
