@@ -26,7 +26,8 @@ natural parameters ``(theta_u, beta, delta)`` inside a box: utility
 coefficients are free, ``beta`` lies in ``[DISCOUNT_FLOOR, 1]`` and
 ``delta`` in ``[DISCOUNT_FLOOR, nextafter(1, 0)]``.  So ``beta = 1`` (exponential discounting) can be
 reached, and an estimate on an edge of the box is reported as such.
-The best converged polish is the estimate.
+The polish with the highest log likelihood is the estimate; among
+polishes tied with it up to rounding, a converged one is preferred.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ SCREEN_TOL = 1e-10
 # end point, at most MAX_RESTARTS times.
 RESTART_SCORE = 1e-3
 MAX_RESTARTS = 2
+# Polishes whose final log likelihoods are within LOGLIK_TIE * (1 +
+# |loglik|) of the highest, a few dozen units in the last place, reached
+# the same maximum up to rounding; a converged one of them is reported.
+LOGLIK_TIE = 1e-14
 
 LINEAR_IN_STATE = "linear_in_state"
 FREE_TABLE = "free_table"
@@ -399,8 +404,9 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
     order; a start outside the box is moved onto it.
 
     Deterministic given the panel and configuration.  The estimate is
-    the converged polish with the highest final log likelihood, ties to
-    the lowest polish index.  ``transitions`` is a (K, J, J) tensor of
+    the polish with the highest final log likelihood; among the polishes
+    within ``LOGLIK_TIE`` of it (relative), a converged one is preferred,
+    then the higher log likelihood, then the lower polish index.  ``transitions`` is a (K, J, J) tensor of
     probability rows or an estimate carrying one in ``f_hat``.  Raises
     ``NonConvergenceError`` (carrying every polish record) only if no
     polish converges.
@@ -494,8 +500,10 @@ def fit_mle(panel: PanelData, utility_spec: UtilitySpec, transitions,
             "no optimizer start converged within the configured tolerances",
             records=records,
         )
-    best = max((i for i, r in enumerate(records) if r.converged),
-               key=lambda i: (records[i].loglik, -i))
+    top = max(r.loglik for r in records)
+    tied = [i for i, r in enumerate(records)
+            if r.loglik >= top - LOGLIK_TIE * (1.0 + abs(top))]
+    best = max(tied, key=lambda i: (records[i].converged, records[i].loglik, -i))
     x = finals[best]
     return MleResult(
         theta_u_hat=x[:n_theta],

@@ -21,6 +21,7 @@ from hyperdisc import (
 from hyperdisc import estimation
 from hyperdisc.estimation import (
     DISCOUNT_FLOOR,
+    LOGLIK_TIE,
     RESTART_SCORE,
     SCREEN_BETAS,
     SCREEN_DELTAS,
@@ -585,10 +586,14 @@ class TestFitMle:
         assert result.loglik >= loglik - 1e-6
         assert result.per_start[result.best_start_index].converged
 
-    def test_estimate_is_a_converged_polish(self, monkeypatch):
-        # two equal starts polish to the same log likelihood; when
-        # L-BFGS-B ends the first search unsuccessfully, the estimate is
-        # the second polish, not the lower index
+    @pytest.mark.parametrize("shift,best", [(0.0, 1), (0.5, 1), (2.0, 0)])
+    def test_estimate_prefers_a_converged_polish_in_a_tie(self, monkeypatch, shift,
+                                                          best):
+        # two equal starts polish to the same point; L-BFGS-B's first
+        # search is marked unsuccessful and the second one's log
+        # likelihood is lowered by `shift` tie widths.  Within the tie the
+        # converged second polish is the estimate, not the lower index;
+        # beyond it the higher, unconverged first polish is
         from scipy import optimize
         _, panel, spec, f_hat = self.make_problem(seed=3, n_agents=300)
         start = (np.array([0.5, -0.2]), 0.8, 0.9)
@@ -601,6 +606,8 @@ class TestFitMle:
             if len(searches) == 1:
                 res.success = False
                 res.message = "ABNORMAL"
+            else:
+                res.fun += shift * LOGLIK_TIE * (1.0 + abs(res.fun))
             return res
 
         monkeypatch.setattr(optimize, "minimize", first_abnormal)
@@ -608,9 +615,27 @@ class TestFitMle:
         first, second = result.per_start
         assert len(searches) == 2
         assert not first.converged and second.converged
-        assert first.loglik == second.loglik == result.loglik
-        assert result.best_start_index == 1
+        assert first.loglik - second.loglik == pytest.approx(
+            shift * LOGLIK_TIE * (1.0 + abs(first.loglik)), rel=0.1, abs=0.0)
+        assert result.best_start_index == best
+        assert result.loglik == result.per_start[best].loglik
         assert result.profile_steps is None
+
+    def test_higher_unconverged_polish_is_reported(self):
+        # acceptance-design setting 1, replication 119: L-BFGS-B ends the
+        # first polish ABNORMAL at (beta 3.6e-4, delta nextafter(1, 0)),
+        # with a projected score just above gtol, and a restart does not
+        # move it; the second polish converges at the (floor, floor)
+        # corner 4.2e-7 lower.  That is no rounding tie, so the estimate
+        # stays the higher polish, the maximum the 16-start grid reached
+        from hyperdisc import McConfig
+        config = McConfig(delta=0.9, beta=0.85, sample_sizes=(2000,),
+                          n_replications=120, base_seed=20260801)
+        result = _replication_fit(config, 119)
+        assert result.loglik >= -21872.85669986209 - 1e-9
+        assert result.delta_hat > 0.999
+        assert any(r.converged and r.loglik < result.loglik - 1e-7
+                   for r in result.per_start)
 
     def test_nonconvergence_carries_records(self):
         # with zero tolerances no search of one iteration converges, so

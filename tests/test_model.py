@@ -705,8 +705,6 @@ DIMENSION_SITES = {
     "UtilitySpec reference_action": ("reference_action", 0,
                                      lambda v: utility_dims(reference_action=v)
                                      .reference_action),
-    "McConfig num_states": ("num_states", 3, lambda v: McConfig(num_states=v).num_states),
-    "McConfig horizon": ("horizon", 4, lambda v: McConfig(horizon=v).horizon),
 }
 
 
