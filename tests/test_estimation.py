@@ -627,7 +627,7 @@ class TestFitMle:
         # with a projected score just above gtol, and a restart does not
         # move it; the second polish converges at the (floor, floor)
         # corner 4.2e-7 lower.  That is no rounding tie, so the estimate
-        # stays the higher polish, the maximum the 16-start grid reached
+        # is the higher polish
         from hyperdisc import McConfig
         config = McConfig(delta=0.9, beta=0.85, sample_sizes=(2000,),
                           n_replications=120, base_seed=20260801)
