@@ -113,8 +113,14 @@ def _parse_anchor(text):
 
 
 def _parse_pairs(text):
-    """``k,l,x1,x2`` groups joined by ``;``, checked where the pairs are used."""
-    return None if text is None else tuple(chunk.split(",") for chunk in text.split(";"))
+    """``k,l,x1,x2`` groups joined by ``;``, as int tuples whose length and
+    range are checked where the pairs are used."""
+    if text is None:
+        return None
+    try:
+        return tuple(tuple(int(v) for v in chunk.split(",")) for chunk in text.split(";"))
+    except ValueError:
+        raise InvalidInputError(f"--pairs groups must be 4 integers, got {text!r}") from None
 
 
 def _load_macro(path):
@@ -167,7 +173,7 @@ def cmd_identify(args) -> int:
         ccps = empirical_ccps(panel, model.num_states, model.num_actions)
         f_hat = estimate_transitions(panel, model.num_states, model.num_actions)
         result = identify_from_estimates(
-            ccps.counts, ccps.visited, f_hat,
+            ccps.counts, f_hat,
             pairs if pairs is not None else model.equality_pairs,
             mode=mode, rank_tol=args.rank_tol, anchor=anchor,
             macro_transitions=macro,

@@ -148,13 +148,6 @@ class UtilitySpec:
             u[free_actions] = theta.reshape(len(free_actions), J)
         return u
 
-    def param_names(self):
-        free_actions = [i for i in range(self.num_actions)
-                        if i != self.reference_action]
-        if self.form == LINEAR_IN_STATE:
-            return [f"{nm}_{i}" for i in free_actions for nm in ("alpha0", "alpha1")]
-        return [f"u_{i}_{x}" for i in free_actions for x in range(self.num_states)]
-
 
 def _choice_loglik(counts, utility, transitions, beta, delta, dutility=None):
     """The choice block ``sum_n sum_t log P_t(a_nt | x_nt)`` from the

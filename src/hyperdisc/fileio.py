@@ -221,11 +221,6 @@ def mc_config_from_dict(data: dict) -> McConfig:
                        for key, value in data.items()})
 
 
-def load_mc_config(path) -> McConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mc_config_from_dict(json.load(fh))
-
-
 def identification_report(result: IdentificationResult) -> dict:
     report = {
         "beta_hat": result.beta_hat,

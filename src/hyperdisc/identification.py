@@ -74,10 +74,14 @@ from .model import (
     ModelSpec,
     ValueSolution,
     _as_float_array,
+    _check_ccps,
     _check_discounts,
     _check_distributions,
+    _check_fraction,
+    _check_int,
     _check_pairs,
     _check_transitions,
+    _logsumexp,
     solve_backward,
 )
 
@@ -156,6 +160,12 @@ def _pair_columns(pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 4).T
 
 
+def _rank(sv, tol):
+    """How many of the descending singular values ``sv`` exceed ``tol``
+    times the largest; 0 when there are none or the largest is 0."""
+    return int((sv > tol * (sv[0] if sv.size else 0.0)).sum())
+
+
 def numerical_rank(matrix, rank_tol=None):
     """Rank by singular values.
 
@@ -167,10 +177,8 @@ def numerical_rank(matrix, rank_tol=None):
     """
     arr = np.asarray(matrix, dtype=float)
     sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, sv
     tol = (max(arr.shape) * np.finfo(float).eps) if rank_tol is None else rank_tol
-    return int((sv > tol * sv[0]).sum()), sv
+    return _rank(sv, tol), sv
 
 
 def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
@@ -181,6 +189,7 @@ def build_pair_system(transitions, pairs, rank_tol=DEFAULT_RANK_TOL):
     checks condition 4(b): the stacked pair rows must have full column
     rank at ``rank_tol`` (relative to the largest singular value).
     """
+    _check_fraction(rank_tol, "rank_tol")
     f = _check_transitions(transitions)
     K, J = f.shape[0], f.shape[1]
     if J < 2:
@@ -230,15 +239,8 @@ def _assemble(ccps, pair_system, min_periods, assumption=None):
     state-differenced reference-action log CCPs.  Fewer than
     ``min_periods`` periods raise, citing ``assumption``.
     """
-    arr = np.asarray(ccps, dtype=float)
     K, J = pair_system.num_actions, pair_system.num_states
-    if arr.ndim != 3 or arr.shape[1:] != (K, J):
-        raise InvalidInputError(f"ccps must have shape (T, {K}, {J}), got {arr.shape}")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidInputError(
-            "ccps must be finite and strictly positive (logs are taken); "
-            "smooth empirical zero cells first"
-        )
+    arr = _check_ccps(ccps, "ccps", np.shape(ccps)[:1] + (K, J))
     T, n1 = arr.shape[0], J - 1
     if T < min_periods:
         raise InsufficientDataError(
@@ -312,6 +314,7 @@ def _solve_discounts_impl(A, B, rank_tol, mode, labels):
         )
     if mode not in _MODES:
         raise InvalidInputError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_fraction(rank_tol, "rank_tol")
     if A.shape[1] < A.shape[0]:
         raise InsufficientDataError(
             f"Assumption {short_label} violated: the system has {A.shape[1]} columns "
@@ -363,7 +366,7 @@ def _solve_discounts_impl(A, B, rank_tol, mode, labels):
         M1, M2, M3 = A[:n1], A[n1 : 2 * n1], A[2 * n1 :]
         design = np.column_stack([M2.ravel(), M3.ravel()])
         dsv = np.linalg.svd(design, compute_uv=False)
-        if dsv[0] == 0.0 or dsv[-1] <= rank_tol * dsv[0]:
+        if _rank(dsv, rank_tol) < 2:
             raise AssumptionViolationError(
                 f"Assumption {rank_label} violated: the two scalar directions of A "
                 f"are collinear at tolerance {rank_tol:g} "
@@ -446,15 +449,16 @@ def recover_utilities(terminal_ccps, pair_system, anchor):
     where the last entry is the largest absolute disagreement found when
     a pair edge revisits an already-pinned state (zero on exact inputs).
     """
-    c = np.asarray(terminal_ccps, dtype=float)
     J = pair_system.num_states
     K = pair_system.num_actions
-    if c.shape != (K, J):
-        raise InvalidInputError(f"terminal_ccps must have shape {(K, J)}, got {c.shape}")
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
-        raise InvalidInputError("terminal_ccps must be finite and strictly positive")
-    anchor_action, anchor_state, anchor_value = anchor
-    anchor_action, anchor_state = int(anchor_action), int(anchor_state)
+    c = _check_ccps(terminal_ccps, "terminal_ccps", (K, J))
+    try:
+        anchor_action, anchor_state, anchor_value = anchor
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"anchor must be (action, state, value), got {anchor!r}") from None
+    anchor_action = _check_int(anchor_action, "anchor action")
+    anchor_state = _check_int(anchor_state, "anchor state")
+    anchor_value = float(_as_float_array(anchor_value, "anchor value", ()))
     if not (0 <= anchor_action < K and 0 <= anchor_state < J):
         raise InvalidInputError(f"anchor {anchor!r} is out of range")
 
@@ -471,7 +475,7 @@ def recover_utilities(terminal_ccps, pair_system, anchor):
 
     levels = np.zeros(J)
     identified = np.zeros(J, dtype=bool)
-    levels[anchor_state] = float(anchor_value) - diffs[anchor_action, anchor_state]
+    levels[anchor_state] = anchor_value - diffs[anchor_action, anchor_state]
     identified[anchor_state] = True
     max_inconsistency = 0.0
     stack = [anchor_state]
@@ -500,41 +504,33 @@ def inclusive_value_gaps(solution_or_w, pairs):
     """
     w = solution_or_w.W if isinstance(solution_or_w, ValueSolution) else solution_or_w
     w = np.asarray(w, dtype=float)
-    from scipy.special import logsumexp as _lse
-
-    inclusive = _lse(w, axis=1)  # (T, J)
+    inclusive = _logsumexp(w, axis=1)  # (T, J)
     _, _, x1, x2 = _pair_columns(_check_pairs(pairs, w.shape[1], w.shape[2]))
     return inclusive[:, x1] - inclusive[:, x2]
 
 
-def smooth_empirical_ccps(counts, visited):
+def smooth_empirical_ccps(counts):
     """Add-one-half smoothing of empirical CCP cells that contain zeros.
 
-    ``counts`` is the (T, K, J) action count array and ``visited`` the
-    (T, J) indicator of cells with any observation.  Cells with all
-    actions observed keep their raw frequencies; visited cells with at
-    least one zero action count get ``(n + 1/2) / (n_x + K/2)``.
+    ``counts`` is the (T, K, J) action count array of ``empirical_ccps``;
+    a (t, x) cell is visited when any action was counted there.  Cells
+    with all actions observed keep their raw frequencies; visited cells
+    with at least one zero action count get ``(n + 1/2) / (n_x + K/2)``.
     Returns ``(ccps, n_smoothed_cells)``.  Unvisited cells raise, since
     the identification system needs every (t, x) probability.
     """
     counts = np.asarray(counts, dtype=float)
-    visited = np.asarray(visited, dtype=bool)
+    state_totals = counts.sum(axis=1)  # (T, J)
+    visited = state_totals > 0
     if not visited.all():
-        n_miss = int((~visited).sum())
         raise InsufficientDataError(
-            f"{n_miss} period/state cells have no observations; "
+            f"{int((~visited).sum())} period/state cells have no observations; "
             "identification needs every cell visited"
         )
-    T, K, J = counts.shape
-    state_totals = counts.sum(axis=1)  # (T, J)
-    ccps = counts / state_totals[:, None, :]
     needs = (counts == 0.0).any(axis=1)  # (T, J)
-    n_smoothed = int(needs.sum())
-    if n_smoothed:
-        sm = (counts + 0.5) / (state_totals[:, None, :] + 0.5 * K)
-        mask = needs[:, None, :]
-        ccps = np.where(mask, sm, ccps)
-    return ccps, n_smoothed
+    smoothed = (counts + 0.5) / (state_totals[:, None, :] + 0.5 * counts.shape[1])
+    ccps = np.where(needs[:, None, :], smoothed, counts / state_totals[:, None, :])
+    return ccps, int(needs.sum())
 
 
 def _identify(ccps, pair_system, mode, rank_tol, anchor, macro_transitions, extra):
@@ -592,18 +588,19 @@ def identify_model(model: ModelSpec, mode=MODE_RIGHT_INVERSE,
                      macro_transitions, extra)
 
 
-def identify_from_estimates(ccp_counts, ccp_visited, transitions, pairs,
+def identify_from_estimates(ccp_counts, transitions, pairs,
                             mode=MODE_RIGHT_INVERSE, rank_tol=DEFAULT_RANK_TOL,
                             anchor=None, macro_transitions=None):
     """Data-mode identification from empirical counts and transitions.
 
-    ``ccp_counts``/``ccp_visited`` come from ``empirical_ccps`` and
-    ``transitions`` from ``estimate_transitions`` (or any estimated
-    (K, J, J) array).  Zero cells are smoothed before logs; the smoothed
-    cell count lands in the diagnostics.
+    ``ccp_counts`` are the (T, K, J) counts of ``empirical_ccps``, whose
+    cells must all be visited, and ``transitions`` come from
+    ``estimate_transitions`` (or any estimated (K, J, J) array).  Zero
+    cells are smoothed before logs; the smoothed cell count lands in the
+    diagnostics.
     """
     pair_system = build_pair_system(transitions, pairs, rank_tol)
-    ccps, n_smoothed = smooth_empirical_ccps(ccp_counts, ccp_visited)
+    ccps, n_smoothed = smooth_empirical_ccps(ccp_counts)
     return _identify(ccps, pair_system, mode, rank_tol, anchor,
                      macro_transitions, {"smoothed_cells": n_smoothed})
 
@@ -615,12 +612,12 @@ def _rank_entry(name, shape, sv, rank_tol):
     detail adds the rank at ``rank_tol``, which the right inverse needs.
     """
     top = sv[0] if sv.size else 0.0
-    structural = int((sv > max(shape) * np.finfo(float).eps * top).sum())
+    structural = _rank(sv, max(shape) * np.finfo(float).eps)
     smallest = sv[-1] / top if top and sv.size == min(shape) else 0.0
     return {
         "passed": structural == shape[0],
         "detail": f"{name} is {shape[0]}x{shape[1]}, structural rank {structural}, "
-                  f"rank {int((sv > rank_tol * top).sum())} at rank_tol {rank_tol:g}; "
+                  f"rank {_rank(sv, rank_tol)} at rank_tol {rank_tol:g}; "
                   f"smallest relative singular value {smallest:.3e}",
     }
 
@@ -642,6 +639,7 @@ def check_model(model: ModelSpec, rank_tol=DEFAULT_RANK_TOL,
     str}}``.
     """
     J, K, T = model.num_states, model.num_actions, model.horizon
+    _check_fraction(rank_tol, "rank_tol")
     H = None if macro_transitions is None else _validate_macro(macro_transitions)
     report = {}
     for cond in ("1", "2", "3"):

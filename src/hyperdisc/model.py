@@ -70,14 +70,21 @@ def _check_int(value, name):
     return int(value)
 
 
+def _check_fraction(value, name, closed=False, prefix=""):
+    """Raise unless ``value`` is a real number in (0, 1), or in (0, 1] when
+    ``closed``; ``prefix`` starts the message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{prefix}{name} must be a real number, got {value!r}")
+    if not (0.0 < value < 1.0 or (closed and value == 1.0)):
+        interval = "(0, 1]" if closed else "(0, 1)"
+        raise InvalidInputError(f"{prefix}{name} must lie in {interval}, got {value}")
+
+
 def _check_discounts(beta, delta, prefix=""):
     """Raise unless ``beta`` is a real number in (0, 1] and ``delta`` one
     in (0, 1); ``prefix`` starts the message."""
-    for name, value, interval in (("beta", beta, "(0, 1]"), ("delta", delta, "(0, 1)")):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidInputError(f"{prefix}{name} must be a real number, got {value!r}")
-        if not (0.0 < value <= 1.0 and (name == "beta" or value < 1.0)):
-            raise InvalidInputError(f"{prefix}{name} must lie in {interval}, got {value}")
+    _check_fraction(beta, "beta", closed=True, prefix=prefix)
+    _check_fraction(delta, "delta", prefix=prefix)
 
 
 def _check_distributions(value, name, tol, shape=None):
@@ -103,13 +110,23 @@ def _check_transitions(value, shape=None):
     return _check_distributions(f, "transitions", ROW_SUM_TOL)
 
 
+def _check_ccps(value, name, shape):
+    """``value`` as a finite float array of ``shape`` whose entries are
+    strictly positive, since the identification system takes their logs."""
+    arr = _as_float_array(value, name, shape)
+    if np.any(arr <= 0.0):
+        raise InvalidInputError(f"{name} must be strictly positive (logs are taken); "
+                                "smooth empirical zero cells first")
+    return arr
+
+
 def _check_pairs(pairs, K, J):
     """Equal-payoff pairs as a tuple of ``(k, l, x1, x2)`` int tuples that
     index K actions and J states."""
     out = []
     for pair in pairs:
         try:
-            k, l, x1, x2 = (int(v) for v in pair)
+            k, l, x1, x2 = (_check_int(v, "pair entry") for v in pair)
         except (TypeError, ValueError):
             raise InvalidInputError(f"equality pair {pair!r} must be 4 integers") from None
         if not (0 <= k < K and 0 <= l < K and 0 <= x1 < J and 0 <= x2 < J):
@@ -245,9 +262,15 @@ class ValueSolution:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "P", P)
 
-    @property
-    def horizon(self):
-        return self.V.shape[0]
+
+def _logsumexp(a, axis):
+    """``log(sum(exp(a), axis))`` bit for bit as SciPy's ``logsumexp`` forms
+    it (Blanchard, Higham & Higham 2021): the maxima are counted, not summed."""
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    count = at_top.sum(axis=axis)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=axis)
+    return np.log1p(rest / count) + np.log(count) + np.squeeze(top, axis)
 
 
 def choice_values(utility, transitions, beta, delta, v_next):
@@ -392,16 +415,13 @@ def solve_backward(model: ModelSpec, check=False) -> ValueSolution:
     )
     solution = ValueSolution(V=V, W=W, P=np.exp(logP))
     if check:
-        # imported here to keep SciPy off the package's import path
-        from scipy import special
-
         P = solution.P
         v_next = np.concatenate([V[1:], np.zeros((1, model.num_states))])
         ev = np.einsum("ixy,ty->tix", model.transitions, v_next)
         corr = (1.0 - model.beta) * model.delta * (P * ev).sum(axis=1)
         with np.errstate(divide="ignore"):
             hotz_miller = W[:, -1] - np.log(P[:, -1]) + corr
-        lse_gap = np.abs(special.logsumexp(W, axis=1) + corr - V).max()
+        lse_gap = np.abs(_logsumexp(W, axis=1) + corr - V).max()
         hm_gap = np.abs(hotz_miller - V).max()
         if not max(lse_gap, hm_gap) <= CROSS_CHECK_TOL:
             raise InvalidInputError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .model import ModelSpec, ValueSolution, _check_distributions
+from .model import ModelSpec, ValueSolution, _check_distributions, _check_int
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -260,6 +260,7 @@ def simulate_panel(model: ModelSpec, solution: ValueSolution, n_agents: int,
     J, K, T = model.num_states, model.num_actions, model.horizon
     if solution.V.shape != (T, J) or solution.P.shape != (T, K, J):
         raise InvalidInputError("solution shapes do not match the model")
+    n_agents = _check_int(n_agents, "n_agents")
     if n_agents < 1:
         raise InvalidInputError("n_agents must be positive")
     cum_init = np.cumsum(_initial_dist(initial_dist, J))
@@ -308,7 +309,7 @@ def empirical_ccps(panel: PanelData, num_states: int, num_actions: int,
                    horizon: int | None = None) -> CcpEstimate:
     """Sample choice frequencies per (period, action, state) cell."""
     _check_panel_ranges(panel, num_states, num_actions)
-    T = panel.horizon if horizon is None else int(horizon)
+    T = panel.horizon if horizon is None else _check_int(horizon, "horizon")
     if T != panel.horizon:
         raise InvalidInputError(f"panel has {panel.horizon} periods, expected {T}")
     counts = _count_cells((T, num_actions, num_states),

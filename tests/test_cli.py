@@ -148,6 +148,20 @@ class TestIdentifyCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs,message", [
+        ("0.5,1,0,0", "--pairs groups must be 4 integers, got '0.5,1,0,0'"),
+        ("0,1,0,0;0,1,x,1", "--pairs groups must be 4 integers"),
+        ("0,1,0", "equality pair (0, 1, 0) must be 4 integers"),
+        ("0,1,0,9", "equality pair (0, 1, 0, 9) is out of range"),
+    ])
+    def test_malformed_pairs_exit_2(self, tmp_path, model_file, capsys, pairs, message):
+        out = tmp_path / "report.json"
+        code = main(["identify", "--model", str(model_file), "--pairs", pairs,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_canonical_design_diagnostic_run(self, tmp_path, model_file):
         # cross-state pairs: the run completes and surfaces the
         # inclusive-value gap instead of pretending exactness

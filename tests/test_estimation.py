@@ -71,9 +71,6 @@ class TestUtilitySpec:
         with pytest.raises(InvalidInputError):
             UtilitySpec(form="quadratic", num_actions=2, num_states=3)
 
-    def test_param_names(self):
-        assert linear_spec(3).param_names() == ["alpha0_0", "alpha1_0"]
-
 
 class TestSearchBox:
     def test_edges(self):

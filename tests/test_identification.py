@@ -593,8 +593,7 @@ class TestDataMode:
     def test_smoothing_counts_and_report(self):
         counts = np.array([[[5, 0], [3, 2]], [[4, 1], [0, 5]]], dtype=float)
         counts = counts.reshape(2, 2, 2)
-        visited = np.ones((2, 2), dtype=bool)
-        ccps, n_smoothed = smooth_empirical_ccps(counts, visited)
+        ccps, n_smoothed = smooth_empirical_ccps(counts)
         assert n_smoothed == 2
         assert np.all(ccps > 0)
         assert_allclose(ccps.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -608,9 +607,8 @@ class TestDataMode:
 
     def test_unvisited_cells_rejected(self):
         counts = np.zeros((2, 2, 2))
-        visited = np.zeros((2, 2), dtype=bool)
         with pytest.raises(InsufficientDataError):
-            smooth_empirical_ccps(counts, visited)
+            smooth_empirical_ccps(counts)
 
     def test_pipeline_runs_on_simulated_panel(self):
         model = find_well_conditioned_model(1000, 1e-7, num_states=2)
@@ -619,7 +617,7 @@ class TestDataMode:
         ccps = empirical_ccps(panel, model.num_states, model.num_actions)
         f_hat = estimate_transitions(panel, model.num_states, model.num_actions)
         result = identify_from_estimates(
-            ccps.counts, ccps.visited, f_hat, model.equality_pairs,
+            ccps.counts, f_hat, model.equality_pairs,
             mode=MODE_CONSTRAINED_LS,
         )
         assert np.isfinite(result.beta_hat)

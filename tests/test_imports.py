@@ -1,11 +1,10 @@
 """SciPy and multiprocessing stay off the import path.
 
-Only the maximum likelihood fit, ``solve_backward(check=True)``, the
-exact-mode inclusive-value diagnostic and parallel Monte Carlo runs need
-them, so importing the package, running ``simulate``, ``identify
---panel`` and ``check``, and evaluating one log likelihood must not load
-them.  pytest itself has SciPy
-loaded, so the check runs in a fresh interpreter.
+Only ``fit_mle`` and parallel Monte Carlo runs need them, so importing
+the package, running ``simulate``, ``identify`` (exact and ``--panel``)
+and ``check``, solving a model with ``check=True`` and evaluating one
+log likelihood must not load them.  pytest itself has SciPy loaded, so
+the check runs in a fresh interpreter.
 """
 
 import json
@@ -38,10 +37,14 @@ codes = [
                         "--seed", "7", "--out", panel]),
     hyperdisc.cli.main(["identify", "--model", model, "--panel", panel,
                         "--out", os.path.join(out, "identify.json")]),
+    hyperdisc.cli.main(["identify", "--model", model,
+                        "--out", os.path.join(out, "identify_exact.json")]),
     hyperdisc.cli.main(["check", "--model", model,
                         "--out", os.path.join(out, "check.json")]),
 ]
 stages["cli"] = heavy()
+hyperdisc.solve_backward(hyperdisc.fileio.load_model(model), check=True)
+stages["solve_check"] = heavy()
 
 import hyperdisc.estimation
 from hyperdisc import fileio
@@ -66,9 +69,9 @@ def test_import_and_data_commands_leave_scipy_and_multiprocessing_unloaded(tmp_p
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["stages"] == {"import": [], "cli": [], "loglik": []}
+    assert report["stages"] == {"import": [], "cli": [], "solve_check": [], "loglik": []}
     assert report["loglik"] < 0.0
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0]
     # the fit still works and loads the optimizer where it is used
     assert report["fit_converged"]
     assert report["optimize_loaded"]

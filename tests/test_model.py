@@ -1,4 +1,5 @@
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -15,17 +16,22 @@ from hyperdisc import (
     ModelSpec,
     UtilitySpec,
     ValueSolution,
+    assemble_system,
     build_pair_system,
     check_model,
     choice_values,
+    empirical_ccps,
     estimate_transitions,
     fit_mle,
     inclusive_value_gaps,
     log_likelihood,
+    recover_utilities,
     simulate_panel,
     solve_backward,
+    solve_discounts,
 )
 from hyperdisc import model as model_module
+from hyperdisc.cli import main
 from conftest import canonical_design, exponential_solution, make_random_model
 
 
@@ -633,16 +639,21 @@ PAIR_SITES = {
 
 @pytest.mark.parametrize("site", sorted(PAIR_SITES))
 @pytest.mark.parametrize("pairs,match", [
-    ([[0, 1, 0, 0], ["1", 0, 1.0, 1]], None),
+    ([[0, 1, 0, 0], [np.int64(1), 0, np.int32(1), 1]], None),
     ([(0, 1, 0)], r"equality pair \(0, 1, 0\) must be 4 integers"),
     ([(0, 1, 0, 0, 1)], "must be 4 integers"),
     ([(0, 1, "a", 0)], "must be 4 integers"),
     ([7], "equality pair 7 must be 4 integers"),
     ([(0, 2, 0, 0)], r"equality pair \(0, 2, 0, 0\) is out of range for K=2, J=3"),
     ([(0, 1, 0, -1)], "is out of range for K=2, J=3"),
+    ([(0.7, 1.2, 0.0, 0.9)], r"equality pair \(0.7, 1.2, 0.0, 0.9\) must be 4 integers"),
+    ([(0, 1, 1.0, 1)], "must be 4 integers"),
+    ([(0, 1, "1", 1)], "must be 4 integers"),
+    ([(0, True, 1, 1)], "must be 4 integers"),
 ])
 def test_pair_rule(site, pairs, match):
-    """Pairs are four integers indexing actions and states."""
+    """Pairs are four integers indexing actions and states, never
+    truncated floats, strings or bools."""
     if match is None:
         normalized = tuple((int(k), int(l), int(x1), int(x2)) for k, l, x1, x2 in pairs)
         assert_array_equal(PAIR_SITES[site](pairs), PAIR_SITES[site](normalized))
@@ -692,6 +703,22 @@ def utility_dims(num_states=3, num_actions=2, reference_action=None):
                        num_states=num_states, reference_action=reference_action)
 
 
+def recover_rule_utilities(anchor):
+    return recover_utilities(
+        solve_backward(RULE_MODEL).P[-1],
+        build_pair_system(RULE_MODEL.transitions, RULE_MODEL.equality_pairs), anchor)
+
+
+def anchored_cell(action=0, state=2):
+    """The (action, state) cell at which ``recover_utilities`` pinned the
+    anchor value 0.  RULE_MODEL's same-state pairs link no two states, so
+    only the anchor state is level-identified, and at state 2, where
+    u_0 != u_1, only the anchor action's payoff is exactly 0."""
+    utilities, identified, _ = recover_rule_utilities((action, state, 0.0))
+    x = int(np.flatnonzero(identified)[0])
+    return int(np.flatnonzero(utilities[:, x] == 0.0)[0]), x
+
+
 # (field, valid value, call returning the field as stored)
 DIMENSION_SITES = {
     "ModelSpec num_states": ("num_states", 3, lambda v: model_dims(num_states=v).num_states),
@@ -705,6 +732,14 @@ DIMENSION_SITES = {
     "UtilitySpec reference_action": ("reference_action", 0,
                                      lambda v: utility_dims(reference_action=v)
                                      .reference_action),
+    "simulate_panel n_agents": ("n_agents", 50, lambda v: simulate_panel(
+        RULE_MODEL, solve_backward(RULE_MODEL), v).n_agents),
+    "empirical_ccps horizon": ("horizon", 10, lambda v: empirical_ccps(
+        RULE_PANEL, 3, 2, horizon=v).counts.shape[0]),
+    "recover_utilities anchor action": ("anchor action", 0,
+                                        lambda v: anchored_cell(action=v)[0]),
+    "recover_utilities anchor state": ("anchor state", 2,
+                                       lambda v: anchored_cell(state=v)[1]),
 }
 
 
@@ -720,3 +755,43 @@ def test_dimension_rule(site, mutate):
     with pytest.raises(InvalidInputError,
                        match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("anchor,match", [
+    ((0, 2), r"anchor must be \(action, state, value\), got \(0, 2\)"),
+    ((0, 2, 0.0, 1.0), "anchor must be"),
+    (7, "anchor must be"),
+    ((0, 2, "x"), "anchor value must be numeric"),
+    ((0, 2, np.nan), "anchor value must be finite everywhere"),
+    ((0, 2, (0.0, 1.0)), r"anchor value must have shape \(\), got \(2,\)"),
+])
+def test_anchor_rule(anchor, match):
+    """An anchor is (action, state, value) with one finite value."""
+    with pytest.raises(InvalidInputError, match=match):
+        recover_rule_utilities(anchor)
+
+
+EXAMPLE_MODEL = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples" / "model.json"
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, -1.0, 0.0, 1.0])
+def test_rank_tol_rule(rank_tol, tmp_path, capsys):
+    """rank_tol is a real number in (0, 1) wherever a rank is gated, and
+    the command line exits 2 on any other value."""
+    pair_system = build_pair_system(RULE_MODEL.transitions, RULE_MODEL.equality_pairs)
+    A, B = assemble_system(solve_backward(RULE_MODEL).P, pair_system)
+    calls = [
+        lambda: build_pair_system(RULE_MODEL.transitions, RULE_MODEL.equality_pairs,
+                                  rank_tol),
+        lambda: solve_discounts(A, B, rank_tol=rank_tol),
+        lambda: check_model(RULE_MODEL, rank_tol=rank_tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError,
+                           match=rf"^rank_tol must lie in \(0, 1\), got {rank_tol}$"):
+            call()
+    for command in ("identify", "check"):
+        code = main([command, "--model", str(EXAMPLE_MODEL), "--rank-tol", str(rank_tol),
+                     "--out", str(tmp_path / f"{command}.json")])
+        assert code == 2
+        assert f"rank_tol must lie in (0, 1), got {rank_tol}" in capsys.readouterr().err
