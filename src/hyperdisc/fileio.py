@@ -6,6 +6,7 @@ module is the only place that reads or writes them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -27,11 +28,17 @@ _MC_KEYS = {"n_replications": "replications", "n_jobs": "jobs"}
 
 PANEL_HEADER = ["agent", "period", "state", "action"]
 _WRITE_BLOCK_ROWS = 32768
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def model_to_dict(model: ModelSpec) -> dict:
-    return {name: _jsonable(getattr(model, name)) for name in MODEL_FIELDS}
+@contextlib.contextmanager
+def _utf8(path):
+    """Report a file that does not decode as UTF-8 as invalid input."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: file is not valid UTF-8") from None
 
 
 def model_from_dict(data: dict) -> ModelSpec:
@@ -43,32 +50,47 @@ def model_from_dict(data: dict) -> ModelSpec:
     return ModelSpec(**{name: data[name] for name in MODEL_FIELDS})
 
 
-def save_model(model: ModelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
-
-
 def load_model(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(load_json(path))
 
 
 def write_panel_csv(panel: PanelData, path) -> None:
     """Panel CSV: header agent,period,state,action; 1-based periods,
-    0-based state/action indices, LF line endings."""
+    0-based state/action indices, LF line endings, agents in row order.
+
+    The rows are assembled as bytes, a block of whole agents (about
+    ``_WRITE_BLOCK_ROWS`` rows) at a time: each field's digits go
+    right-aligned into a fixed-width ``uint8`` matrix, the unused
+    leading bytes stay 0 and are dropped, and each block is one write.
+    """
     n_agents, horizon = panel.states.shape
-    rows = np.empty((n_agents * horizon, 4), dtype=np.int64)
-    rows[:, 0] = np.repeat(np.arange(n_agents), horizon)
-    rows[:, 1] = np.tile(np.arange(1, horizon + 1), n_agents)
-    rows[:, 2] = panel.states.ravel()
-    rows[:, 3] = panel.actions.ravel()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(PANEL_HEADER) + "\n")
-        # one format string per block bounds the tuple of Python ints it needs
-        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-            block = rows[start:start + _WRITE_BLOCK_ROWS]
-            fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+    per_block = max(1, _WRITE_BLOCK_ROWS // horizon)
+    periods = _ascii_digits(np.arange(1, horizon + 1))
+    with open(path, "wb") as fh:
+        fh.write(",".join(PANEL_HEADER).encode() + b"\n")
+        for first in range(0, n_agents, per_block):
+            states = panel.states[first:first + per_block]
+            actions = panel.actions[first:first + per_block]
+            fields = (_ascii_digits(np.arange(first, first + len(states)))[:, None],
+                      periods, _ascii_digits(states), _ascii_digits(actions))
+            ends = np.cumsum([field.shape[-1] + 1 for field in fields])
+            rows = np.zeros(states.shape + (ends[-1],), dtype=np.uint8)
+            for field, end in zip(fields, ends):
+                rows[..., end - 1 - field.shape[-1]:end - 1] = field
+            rows[..., ends - 1] = _ROW_SEPARATORS
+            fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+def _ascii_digits(values):
+    """ASCII digits of non-negative integers, one row of bytes per value.
+
+    The digits are right-aligned to the width of the largest value; the
+    leading bytes a shorter value does not use are 0.
+    """
+    places = 10 ** np.arange(len(str(values.max())) - 1, -1, -1, dtype=np.int64)
+    digits = (values[..., None] // places % 10 + ord("0")).astype(np.uint8)
+    digits[(values[..., None] < places) & (places > 1)] = 0
+    return digits
 
 
 def read_panel_csv(path) -> PanelData:
@@ -76,37 +98,27 @@ def read_panel_csv(path) -> PanelData:
 
     Rows may come in any order, blank lines are skipped, ``#`` starts no
     comment, fields may be CSV-quoted, and agent ids are int64 values
-    whose rows come back in ascending id order.
+    whose rows come back in ascending id order.  A file that is not
+    UTF-8 is rejected.  Rows already strictly ascending in (agent,
+    period), as ``write_panel_csv`` writes them, are taken without a sort.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise InvalidInputError("panel file is empty") from None
-        if header != PANEL_HEADER:
-            raise InvalidInputError(
-                f"panel header must be {','.join(PANEL_HEADER)}, got {','.join(header)}"
-            )
-        with warnings.catch_warnings():
-            # a body without records is reported below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                table = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
-                                   comments=None, quotechar='"')
-            except ValueError:
-                table = None
-    unparsed = None
-    if table is None or table.shape[1] != 4:
-        table, unparsed = _scan_panel_rows(path)
+    with _utf8(path):
+        table, unparsed = _parse_panel(path)
     agent, period, state, action = table.T
     out_of_range = (period < 1) | (state < 0) | (action < 0)
-    # a stable sort keeps file order among equal keys, so every repeat of
-    # an (agent, period) key after its first occurrence is a duplicate
-    order = np.lexsort((period, agent))
-    repeated = ((agent[order[1:]] == agent[order[:-1]])
-                & (period[order[1:]] == period[order[:-1]]))
     duplicate = np.zeros(len(table), dtype=bool)
-    duplicate[order[1:][repeated]] = True
+    ascending = ((agent[1:] > agent[:-1])
+                 | ((agent[1:] == agent[:-1]) & (period[1:] > period[:-1])))
+    if ascending.all():
+        # the sort order is the identity, and no key can repeat
+        order = slice(None)
+    else:
+        # a stable sort keeps file order among equal keys, so every repeat
+        # of an (agent, period) key after its first occurrence is a duplicate
+        order = np.lexsort((period, agent))
+        repeated = ((agent[order[1:]] == agent[order[:-1]])
+                    & (period[order[1:]] == period[order[:-1]]))
+        duplicate[order[1:][repeated]] = True
     bad = np.flatnonzero(out_of_range | duplicate)
     if bad.size:
         row = bad[0]
@@ -121,16 +133,46 @@ def read_panel_csv(path) -> PanelData:
     if not len(table):
         raise InvalidInputError("panel file contains no records")
     horizon = int(period.max())
-    agents, counts = np.unique(agent, return_counts=True)
+    ids = agent[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    counts = np.diff(np.r_[starts, len(ids)])
     # without duplicates, an agent covers 1..horizon iff it has horizon rows
     short = np.flatnonzero(counts != horizon)
     if short.size:
         raise InvalidInputError(
-            f"agent {agents[short[0]]} does not cover periods 1..{horizon}; "
+            f"agent {ids[starts[short[0]]]} does not cover periods 1..{horizon}; "
             "unbalanced panels are rejected"
         )
-    return PanelData(states=state[order].reshape(len(agents), horizon),
-                     actions=action[order].reshape(len(agents), horizon))
+    return PanelData(states=state[order].reshape(len(starts), horizon),
+                     actions=action[order].reshape(len(starts), horizon))
+
+
+def _parse_panel(path):
+    """Check the header and parse the body with one ``np.loadtxt`` call.
+
+    Returns the rows and, when ``np.loadtxt`` refused the body, the error
+    ``_scan_panel_rows`` found (or None).
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise InvalidInputError("panel file is empty")
+    if header != PANEL_HEADER:
+        raise InvalidInputError(
+            f"panel header must be {','.join(PANEL_HEADER)}, got {','.join(header)}"
+        )
+    with warnings.catch_warnings():
+        # a body without records is reported by the caller, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2,
+                               comments=None, quotechar='"', skiprows=1,
+                               encoding="utf-8")
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != 4:
+        return _scan_panel_rows(path)
+    return table, None
 
 
 def _panel_records(path):
@@ -205,8 +247,7 @@ def estimation_config_from_dict(data: dict):
 
 
 def load_estimation_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return estimation_config_from_dict(json.load(fh))
+    return estimation_config_from_dict(load_json(path))
 
 
 def mc_config_from_dict(data: dict) -> McConfig:
@@ -302,5 +343,5 @@ def save_json(data: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -179,10 +179,12 @@ class PanelData:
         if not (np.issubdtype(states.dtype, np.integer)
                 and np.issubdtype(actions.dtype, np.integer)):
             raise InvalidInputError("states and actions must be integer arrays")
-        if states.min() < 0 or actions.min() < 0:
-            raise InvalidInputError("state and action indices must be non-negative")
+        # an unsigned value beyond the int64 range turns negative here
         states = np.ascontiguousarray(states, dtype=np.int64)
         actions = np.ascontiguousarray(actions, dtype=np.int64)
+        if states.min() < 0 or actions.min() < 0:
+            raise InvalidInputError(
+                "state and action indices must be non-negative int64 values")
         states.setflags(write=False)
         actions.setflags(write=False)
         object.__setattr__(self, "states", states)

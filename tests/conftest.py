@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -35,6 +37,18 @@ def make_random_model(seed, num_states=3, num_actions=2, horizon=None,
         num_states=J, num_actions=K, horizon=T, beta=b, delta=d,
         utility=u, transitions=f, equality_pairs=pairs,
     )
+
+
+def model_document(model):
+    """``model`` as the JSON model document of docs/FORMATS.md."""
+    return json.loads(json.dumps(dataclasses.asdict(model),
+                                 default=lambda value: value.tolist()))
+
+
+def write_model(model, path):
+    """Write ``model`` to ``path`` as a JSON model document."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model_document(model), fh, indent=2)
 
 
 def canonical_design(setting=1, transition_seed=CANONICAL_TRANSITION_SEED,

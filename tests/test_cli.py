@@ -8,16 +8,16 @@ import pytest
 import hyperdisc
 from hyperdisc import cli
 from hyperdisc.cli import main
-from hyperdisc.fileio import load_json, save_model
+from hyperdisc.fileio import load_json
 from hyperdisc.montecarlo import design_model, McConfig
 from hyperdisc.simulation import random_transitions
-from conftest import canonical_design, make_random_model
+from conftest import canonical_design, make_random_model, write_model
 
 
 @pytest.fixture()
 def model_file(tmp_path):
     path = tmp_path / "model.json"
-    save_model(canonical_design(setting=1), path)
+    write_model(canonical_design(setting=1), path)
     return path
 
 
@@ -88,6 +88,28 @@ class TestSimulateCommand:
         assert code == 1
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command, bad", [
+        pytest.param(["identify", "--panel", "{panel}", "--model", "{model}"], "panel",
+                     id="identify-panel"),
+        pytest.param(["estimate", "--panel", "{panel}", "--config", "{config}"], "panel",
+                     id="estimate-panel"),
+        pytest.param(["estimate", "--panel", "{panel}", "--config", "{config}"], "config",
+                     id="estimate-config"),
+        pytest.param(["check", "--model", "{model}"], "model", id="check-model"),
+    ])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, model_file, command, bad):
+        paths = {"model": model_file, "panel": tmp_path / "panel.csv",
+                 "config": tmp_path / "est.json"}
+        paths["panel"].write_bytes(b"agent,period,state,action\n0,1,2,0\n")
+        paths["config"].write_text(json.dumps({"num_states": 5, "num_actions": 2}))
+        # a byte that no UTF-8 text contains, inside the file's body
+        paths[bad].write_bytes(paths[bad].read_bytes() + b"\xff\n")
+        args = [arg.format(**paths) for arg in command]
+        assert main(args + ["--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"error: {paths[bad]}: file is not valid UTF-8\n"
+
+
 class TestToolVersion:
     def test_source_checkout_falls_back_to_package_version(self, monkeypatch,
                                                            tmp_path, model_file):
@@ -121,7 +143,7 @@ class TestIdentifyCommand:
     def test_exact_mode_recovers_discounts(self, tmp_path):
         model = well_conditioned_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         out = tmp_path / "report.json"
         code = main(["identify", "--model", str(path), "--rank-tol", "1e-8",
                      "--out", str(out)])
@@ -176,7 +198,7 @@ class TestIdentifyCommand:
     def test_short_horizon_exits_3_citing_5a(self, tmp_path, capsys):
         model = canonical_design(setting=1, horizon=10)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         code = main(["identify", "--model", str(path),
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
@@ -185,7 +207,7 @@ class TestIdentifyCommand:
     def test_macro_m1_matches_plain_run(self, tmp_path):
         model = well_conditioned_model(start_seed=2200)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         hfile = tmp_path / "h.json"
         hfile.write_text("[[1.0]]")
         plain_out = tmp_path / "plain.json"
@@ -206,7 +228,7 @@ class TestIdentifyCommand:
         model = make_random_model(63, num_states=3, horizon=4,
                                   beta=0.8, delta=0.9)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         hfile = tmp_path / "h.json"
         H = np.random.default_rng(1).random((3, 3))
         H /= H.sum(axis=1, keepdims=True)
@@ -223,7 +245,7 @@ class TestIdentifyCommand:
     def test_data_mode_runs(self, tmp_path):
         model = well_conditioned_model(start_seed=3300)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         panel_out = tmp_path / "panel.csv"
         assert main(["simulate", "--model", str(path), "--agents", "3000",
                      "--seed", "4", "--out", str(panel_out)]) == 0
@@ -241,7 +263,7 @@ class TestEstimateCommand:
                           alpha0=0.5, alpha1=-0.2)
         model = design_model(config, random_transitions(3, 2, seed=5))
         model_path = tmp_path / "model.json"
-        save_model(model, model_path)
+        write_model(model, model_path)
         panel_path = tmp_path / "panel.csv"
         assert main(["simulate", "--model", str(model_path), "--agents", "400",
                      "--seed", "5", "--out", str(panel_path)]) == 0
@@ -277,7 +299,7 @@ class TestEstimateCommand:
         config = McConfig(num_states=3, horizon=6)
         model = design_model(config, random_transitions(3, 2, seed=5))
         model_path = tmp_path / "model.json"
-        save_model(model, model_path)
+        write_model(model, model_path)
         panel_path = tmp_path / "panel.csv"
         main(["simulate", "--model", str(model_path), "--agents", "50",
               "--seed", "5", "--out", str(panel_path)])
@@ -371,7 +393,7 @@ class TestCheckCommand:
                            delta=0.9, utility=np.zeros((2, 3)), transitions=f,
                            equality_pairs=[(0, 1, 0, 0), (0, 1, 1, 1)])
         path = tmp_path / "broken.json"
-        save_model(broken, path)
+        write_model(broken, path)
         code = main(["check", "--model", str(path)])
         assert code == 3
         stdout = capsys.readouterr().out
@@ -418,7 +440,7 @@ class TestCheckCommand:
                                           {"macro_transitions": [[2.0, -1.0], [0.5, 0.5]]}])
     def test_invalid_macro_document_exits_2(self, tmp_path, capsys, document):
         path = tmp_path / "short.json"
-        save_model(make_random_model(66, num_states=2, horizon=3), path)
+        write_model(make_random_model(66, num_states=2, horizon=3), path)
         hfile = tmp_path / "h.json"
         hfile.write_text(json.dumps(document))
         code = main(["check", "--model", str(path), "--macro", str(hfile)])

@@ -10,16 +10,15 @@ from numpy.testing import assert_array_equal
 from hyperdisc import InvalidInputError, MleConfig, PanelData, simulate_panel, solve_backward
 from hyperdisc.fileio import (
     _WRITE_BLOCK_ROWS,
+    MODEL_FIELDS,
     estimation_config_from_dict,
     load_model,
     mc_config_from_dict,
     model_from_dict,
-    model_to_dict,
     read_panel_csv,
-    save_model,
     write_panel_csv,
 )
-from conftest import make_random_model
+from conftest import make_random_model, model_document, write_model
 
 HEADER = "agent,period,state,action\n"
 
@@ -38,7 +37,7 @@ class TestModelDocument:
     def test_round_trip_is_exact(self, tmp_path):
         model = make_random_model(0, num_states=4, num_actions=3)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_model(model, path)
         loaded = load_model(path)
         assert_array_equal(loaded.utility, model.utility)
         assert_array_equal(loaded.transitions, model.transitions)
@@ -47,20 +46,19 @@ class TestModelDocument:
         assert loaded.equality_pairs == model.equality_pairs
 
     def test_field_names_fixed(self):
-        doc = model_to_dict(make_random_model(1))
-        assert set(doc) == {
+        assert set(MODEL_FIELDS) == {
             "num_states", "num_actions", "horizon", "beta", "delta",
             "utility", "transitions", "state_values", "equality_pairs",
         }
 
     def test_missing_field_named_in_error(self):
-        doc = model_to_dict(make_random_model(2))
+        doc = model_document(make_random_model(2))
         del doc["transitions"]
         with pytest.raises(InvalidInputError, match="transitions"):
             model_from_dict(doc)
 
     def test_validation_applies_on_load(self):
-        doc = model_to_dict(make_random_model(3))
+        doc = model_document(make_random_model(3))
         doc["transitions"][0][0][0] += 0.5  # break row sum
         with pytest.raises(InvalidInputError):
             model_from_dict(doc)
@@ -110,16 +108,100 @@ class TestPanelCsv:
             read_panel_csv(path)
 
     def test_writer_spans_blocks(self, tmp_path):
-        # more rows than two write blocks, with a partial block at the end
+        # more rows than two write blocks of whole agents, with a partial
+        # block at the end
         horizon = 7
-        n_agents = 2 * _WRITE_BLOCK_ROWS // horizon + 3
+        per_block = _WRITE_BLOCK_ROWS // horizon
+        n_agents = 2 * per_block + 3
         rng = np.random.default_rng(5)
         panel = PanelData(states=rng.integers(0, 12, size=(n_agents, horizon)),
                           actions=rng.integers(0, 3, size=(n_agents, horizon)))
-        assert panel.states.size % _WRITE_BLOCK_ROWS != 0
+        assert n_agents % per_block != 0
         write_panel_csv(panel, tmp_path / "blocks.csv")
         _write_panel_rows(panel, tmp_path / "rows.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_agents, horizon, top_state, top_action, first_of_block", [
+        # agent ids gain a digit inside a block, or on a block's first agent
+        pytest.param(12, 3, 4, 1, None, id="agents-9-10-in-block"),
+        pytest.param(12, _WRITE_BLOCK_ROWS // 10, 4, 1, 10, id="agents-9-10-across-blocks"),
+        pytest.param(103, 3, 4, 1, None, id="agents-99-100-in-block"),
+        pytest.param(103, _WRITE_BLOCK_ROWS // 100, 4, 1, 100,
+                     id="agents-99-100-across-blocks"),
+        pytest.param(1003, 2, 4, 1, None, id="agents-999-1000-in-block"),
+        pytest.param(1003, 131, 4, 1, 1000, id="agents-999-1000-across-blocks"),
+        pytest.param(4, 9, 4, 1, None, id="horizon-9"),
+        pytest.param(4, 10, 4, 1, None, id="horizon-10"),
+        pytest.param(40, 6, 15, 11, None, id="two-digit-states-and-actions"),
+        pytest.param(1, 1, 3, 1, None, id="one-agent-one-period"),
+        pytest.param(4, 3, np.iinfo(np.int64).max, 1, None, id="int64-max-state"),
+    ])
+    def test_writer_matches_row_writer(self, tmp_path, n_agents, horizon, top_state,
+                                       top_action, first_of_block):
+        if first_of_block is not None:
+            assert first_of_block % (_WRITE_BLOCK_ROWS // horizon) == 0
+        rng = np.random.default_rng(n_agents * horizon)
+        states = rng.integers(0, top_state, size=(n_agents, horizon), endpoint=True)
+        actions = rng.integers(0, top_action, size=(n_agents, horizon), endpoint=True)
+        states[-1, -1], actions[-1, -1] = top_state, top_action
+        panel = PanelData(states=states, actions=actions)
+        write_panel_csv(panel, tmp_path / "blocks.csv")
+        _write_panel_rows(panel, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit, expected", [
+        # records 1-9 are agents 0-2 over periods 1-3 in writer order, on
+        # lines 2-10; each edit leaves the rest of that order in place
+        pytest.param(lambda r: r.insert(5, r[4]),
+                     "line 7: duplicate record for agent 1, period 2", id="adjacent-duplicate"),
+        pytest.param(lambda r: r.append(r[1]),
+                     "line 11: duplicate record for agent 0, period 2", id="late-duplicate"),
+        pytest.param(lambda r: r.pop(4),
+                     "agent 1 does not cover periods 1..3; unbalanced panels are rejected",
+                     id="missing-period"),
+        pytest.param(lambda r: r.pop(8),
+                     "agent 2 does not cover periods 1..3; unbalanced panels are rejected",
+                     id="missing-last-period"),
+        pytest.param(lambda r: r.__setitem__(5, "1,0,1,1"), "line 7: index out of range",
+                     id="period-zero"),
+        pytest.param(lambda r: r.insert(6, r.pop(3)), None, id="one-row-out-of-order"),
+    ])
+    def test_writer_order_edits(self, tmp_path, edit, expected):
+        panel = PanelData(states=np.arange(9).reshape(3, 3) % 4,
+                          actions=np.arange(9).reshape(3, 3) % 2)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        header, *records = path.read_text().splitlines()
+        edit(records)
+        path.write_text("\n".join([header] + records) + "\n")
+        if expected is not None:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(expected)}$"):
+                read_panel_csv(path)
+            return
+        loaded = read_panel_csv(path)
+        assert_array_equal(loaded.states, panel.states)
+        assert_array_equal(loaded.actions, panel.actions)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rewritten_panel_reads_back_equal(self, tmp_path, seed):
+        # the writer's records shuffled, partly quoted, with blank lines
+        # and CRLF endings
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 7, size=2))
+        panel = PanelData(states=rng.integers(0, 13, size=shape),
+                          actions=rng.integers(0, 3, size=shape))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        header, *records = path.read_text().splitlines()
+        records = [",".join(f'"{v}"' if rng.random() < 0.3 else v for v in r.split(","))
+                   for r in records]
+        rng.shuffle(records)
+        for _ in range(2):
+            records.insert(rng.integers(0, len(records) + 1), "")
+        path.write_bytes("\r\n".join([header] + records).encode() + b"\r\n")
+        loaded = read_panel_csv(path)
+        assert_array_equal(loaded.states, panel.states)
+        assert_array_equal(loaded.actions, panel.actions)
 
     @pytest.mark.parametrize("text, expected", [
         pytest.param("agent,period,state,action\r\n0,1,2,0\r\n0,2,1,1\r\n",

@@ -261,6 +261,12 @@ class TestPanelData:
         with pytest.raises(InvalidInputError):
             PanelData(states=s, actions=a)
 
+    def test_rejects_indices_beyond_int64(self):
+        s = np.full((2, 3), 1 << 63, dtype=np.uint64)
+        a = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(InvalidInputError, match="non-negative int64"):
+            PanelData(states=s, actions=a)
+
 
 class TestEmpiricalCcps:
     def test_unanimous_cell(self):
